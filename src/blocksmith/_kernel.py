@@ -1,63 +1,15 @@
-"""Kernel selection: compiled Gram-search twin when safe, pure Python otherwise.
+"""Entry point of the Gram-search kernel.
 
-The compiled kernel works on int64, so it is only used when a conservative
-bound proves that every intermediate (Bareiss minors and their products)
-stays far below 2^63. Set BLOCKSMITH_KERNEL=py|c|auto to override; "c"
-fails loudly when the extension is missing, but still falls back to the
-pure kernel for problems outside the proven-safe range.
+The kernel is pure Python and lives in ``_kernel_py``; this module is the
+name the rest of the package calls it by.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Sequence
+from ._kernel_py import search_rows
 
-from . import _kernel_py
-
-try:
-    from . import _kernel_c
-except ImportError:
-    _kernel_c = None
-
-Row = tuple[int, ...]
+__all__ = ["available_backends", "search_rows"]
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("python", "cython") if _kernel_c is not None else ("python",)
-
-
-def int64_safe(c: Sequence[Sequence[int]], pool_size: int, max_rows: int) -> bool:
-    """True when the compiled kernel provably cannot overflow on this input.
-
-    Every intermediate in the fraction-free PSD check is a minor of a
-    residual matrix whose entries are bounded by those of C; the Hadamard
-    bound caps each minor, and products of two minors must fit in int64.
-    """
-    l = len(c)
-    if l > 6 or pool_size > 4096 or max_rows > 64:
-        return False
-    hadamard_sq = 1
-    for row in c:
-        hadamard_sq *= 1 + sum(x * x for x in row)
-    return hadamard_sq < 2**31
-
-
-def search_rows(
-    c: Sequence[Sequence[int]],
-    pool: Sequence[Row],
-    min_rows: int,
-    max_rows: int,
-    backend: str | None = None,
-) -> list[tuple[Row, ...]]:
-    choice = backend or os.environ.get("BLOCKSMITH_KERNEL", "auto")
-    if choice not in ("auto", "py", "c"):
-        raise ValueError(f"unknown kernel backend {choice!r}")
-    if choice == "c" and _kernel_c is None:
-        raise RuntimeError("compiled kernel requested but not built")
-    use_c = (
-        _kernel_c is not None
-        and choice in ("auto", "c")
-        and int64_safe(c, len(pool), max_rows)
-    )
-    impl = _kernel_c if use_c else _kernel_py
-    return impl.search_rows(c, pool, min_rows, max_rows)
+    return ("python",)

@@ -3,9 +3,13 @@
 Enumerates every way to write a symmetric positive definite integer matrix C
 as a sum of rank-one products r^t r over rows r drawn from a fixed candidate
 pool, emitting rows in nonincreasing pool order (row-permutation symmetry is
-broken at the source). The compiled twin in ``_kernel_c`` implements the same
-interface over int64; this module is the always-available fallback and the
-reference for parity tests.
+broken at the source).
+
+Since r^t r = (-r)^t (-r), a signed search need not walk both signs of a
+row: ``gram._solve_free`` passes only the sign representatives (rows whose
+first nonzero entry is positive) and expands the sign choices of each
+emitted sequence itself. The kernel does not depend on that; it searches
+whatever pool it is given.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from __future__ import annotations
 from typing import Sequence
 
 Row = tuple[int, ...]
-
-BACKEND_NAME = "python"
 
 
 def _is_psd(a: list[list[int]]) -> bool:

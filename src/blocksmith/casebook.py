@@ -184,6 +184,11 @@ def load_rules(dimension: int) -> list[CaseRule]:
 
 
 def _rule_from_obj(obj: dict) -> CaseRule:
+    if not isinstance(obj, dict):
+        raise CasebookError(f"rule must be a JSON object, got {obj!r}")
+    missing = [key for key in ("id", "candidate", "kind") if key not in obj]
+    if missing:
+        raise CasebookError(f"rule {obj!r} lacks {', '.join(missing)}")
     return CaseRule(
         rule_id=obj["id"],
         candidate=matrix_from_obj(obj["candidate"]),

@@ -94,6 +94,8 @@ def _parse_matrix(text: str) -> IntMatrix:
             )
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as e:
+            raise CliError(f"{text}: cannot read file: {e.strerror}")
         except json.JSONDecodeError as e:
             raise CliError(
                 f"{text}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
@@ -134,7 +136,15 @@ def build_parser() -> _Parser:
     pc.add_argument("--feasible-only", action="store_true")
     pc.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
-    pg = sub.add_parser("solve-gram", help="integral Gram decompositions")
+    pg = sub.add_parser(
+        "solve-gram",
+        help="integral Gram decompositions",
+        description=(
+            "All integer Q with Q^t Q = C under the given constraints. Every "
+            "row r of Q obeys r.adj(C).r^t < det C, with equality only when "
+            "det C = 1, so [[4]] decomposes as four rows [1] but not as [2]."
+        ),
+    )
     pg.add_argument("--gram", required=True)
     pg.add_argument("--signed", action="store_true")
     pg.add_argument("--rows", default=None, help="exact count K or range K1..K2")
@@ -356,6 +366,8 @@ def _cmd_casebook(args) -> tuple[dict, int, str | None]:
             raw = json.loads(Path(args.rules).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise CliError(f"rules file not found: {args.rules}")
+        except OSError as e:
+            raise CliError(f"{args.rules}: cannot read file: {e.strerror}")
         except json.JSONDecodeError as e:
             raise CliError(
                 f"{args.rules}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"

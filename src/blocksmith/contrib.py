@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .intmat import (
     IntMatrix,
+    InvariantError,
     MatrixError,
     adjugate,
     det,
@@ -74,9 +75,12 @@ def contribution_matrix(
         rows.append(out_row)
     m = IntMatrix.from_rows(rows)
     # invariants of a scaled idempotent
-    assert m.is_symmetric
-    assert m.matmul(m) == m.scale(defect_order)
-    assert m.trace() == defect_order * c.col_count
+    if not m.is_symmetric:
+        raise InvariantError("internal: contribution matrix is not symmetric")
+    if m.matmul(m) != m.scale(defect_order):
+        raise InvariantError("internal: contribution matrix is not |D|-idempotent")
+    if m.trace() != defect_order * c.col_count:
+        raise InvariantError("internal: contribution matrix trace is not |D| * l")
     return ContributionResult(matrix=m, defect_order=defect_order)
 
 

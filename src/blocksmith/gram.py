@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _kernel
 from .intmat import (
     IntMatrix,
+    InvariantError,
     MatrixError,
     adjugate,
     det,
@@ -134,10 +136,16 @@ def row_is_valid(r: Sequence[int], adj: IntMatrix, d: int) -> bool:
     return q < d
 
 
+@lru_cache(maxsize=32)
+def _adjugate_and_det(c: IntMatrix) -> tuple[IntMatrix, int]:
+    """adj(C) and det C, computed once per target and shared by the row
+    pool, the pinned search and every ``verify_solution`` call."""
+    return adjugate(c), det(c)
+
+
 def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:
     """Candidate rows, sorted decreasing; zero row excluded."""
-    adj = adjugate(c)
-    d = det(c)
+    adj, d = _adjugate_and_det(c)
     bounds = [isqrt(c.rows[j][j]) for j in range(c.col_count)]
     ranges = [
         range(-b, b + 1) if signed else range(0, b + 1) for b in bounds
@@ -230,7 +238,7 @@ def solve(p: GramProblem) -> list[GramSolution]:
 
     Returns [] when the constraints are proved unsatisfiable; raises
     GramInputError when the problem statement is malformed. Every returned
-    solution passes ``verify_solution``.
+    solution passes ``verify_solution``; InvariantError is raised otherwise.
     """
     p.validate()
     raw = _solve_pinned(p) if p.pinned else _solve_free(p)
@@ -247,7 +255,10 @@ def solve(p: GramProblem) -> list[GramSolution]:
     solutions = [_solution_from_rows(rows) for rows in seen]
     solutions.sort(key=lambda s: (s.q.row_count, s.canonical_key))
     for s in solutions:
-        assert verify_solution(p, s), "internal: solution failed verification"
+        if not verify_solution(p, s):
+            raise InvariantError(
+                f"internal: solution {s.q.to_lists()} failed verification"
+            )
     return solutions
 
 
@@ -267,38 +278,57 @@ def _row_groups(p: GramProblem, k: int) -> list[list[int]]:
     return list(keys.values())
 
 
-def _row_count_bounds(p: GramProblem) -> tuple[int, int]:
-    trace = p.target_gram.trace()
-    if p.row_count is None:
-        return (1, trace)
-    if isinstance(p.row_count, tuple):
-        lo, hi = p.row_count
-        return (max(lo, 1), min(hi, trace))
-    return (p.row_count, p.row_count)
+def _sign_expansions(rows: tuple[Row, ...]) -> Iterator[tuple[Row, ...]]:
+    """Every sign choice of a sequence of sign representatives, each sorted
+    decreasing. ``rows`` is nonincreasing, so equal rows are adjacent: a run
+    of m copies of r gives j copies of -r and m - j of r for j = 0..m."""
+    runs = []
+    for r, run in itertools.groupby(rows):
+        m = len(list(run))
+        neg = tuple(-x for x in r)
+        runs.append([(r,) * (m - j) + (neg,) * j for j in range(m + 1)])
+    for pick in itertools.product(*runs):
+        yield tuple(sorted(itertools.chain.from_iterable(pick), reverse=True))
 
 
 def _solve_free(p: GramProblem) -> list[tuple[Row, ...]]:
+    """Row sequences of an unpinned problem, before canonicalization.
+
+    A signed search hands the kernel only the sign representatives of the
+    pool (rows whose first nonzero entry is positive): r and -r give the
+    same r^t r, so a full-pool search walks every partial solution once per
+    sign choice. Each representative sequence is then expanded by
+    ``_sign_expansions``; the result is exactly the set of sequences the
+    full-pool search emits.
+
+    With zero rows allowed, a row-count window is the union of its exact
+    counts: a sequence of n nonzero rows is padded with zero rows to every
+    count of the window that is at least n.
+    """
     c = p.target_gram
     pool = _row_pool(c, p.signed)
-    lo, hi = _row_count_bounds(p)
-    if hi < 1:
-        return []
+    if p.signed:
+        pool = [r for r in pool if next(x for x in r if x) > 0]
+    trace = c.trace()
+    if p.row_count is None:
+        lo, hi = 1, trace
+    elif isinstance(p.row_count, tuple):
+        lo, hi = p.row_count
+    else:
+        lo = hi = p.row_count
+    pad = not p.require_nonzero_rows and p.row_count is not None
     # nonzero rows each consume at least 1 of the trace
-    nonzero_hi = min(hi, c.trace())
-    nonzero_lo = lo if p.require_nonzero_rows else 1
-    found = _kernel.search_rows(c.to_lists(), pool, nonzero_lo, nonzero_hi)
-    results = []
-    for rows in found:
-        if p.require_nonzero_rows:
-            if lo <= len(rows) <= hi:
-                results.append(rows)
-        else:
-            if isinstance(p.row_count, int) and len(rows) < p.row_count:
-                padded = rows + ((0,) * c.col_count,) * (p.row_count - len(rows))
-                results.append(padded)
-            elif lo <= len(rows) <= hi:
-                results.append(rows)
-    return results
+    found = _kernel.search_rows(c.to_lists(), pool, 1 if pad else lo, min(hi, trace))
+    if p.signed:
+        found = [full for rows in found for full in _sign_expansions(rows)]
+    if not pad:
+        return found
+    zero = (0,) * c.col_count
+    return [
+        rows + (zero,) * (k - len(rows))
+        for rows in found
+        for k in range(max(len(rows), lo), hi + 1)
+    ]
 
 
 def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
@@ -324,8 +354,7 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
         for col in fixed_cols
     ]
 
-    d = det(c)
-    adj = adjugate(c)
+    adj, d = _adjugate_and_det(c)
     need_diag = p.diag_constraints
     res = [list(row) for row in c.rows]
     cross = [[0] * l for _ in fixed_cols]
@@ -477,8 +506,7 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
         return False
     if not p.signed and any(x < 0 for row in q.rows for x in row):
         return False
-    adj = adjugate(c)
-    d = det(c)
+    adj, d = _adjugate_and_det(c)
     for i, row in enumerate(q.rows):
         forced_zero = i in p.zero_rows
         if forced_zero and any(row):

@@ -16,6 +16,11 @@ class MatrixError(ValueError):
     """Invalid matrix input (shape, symmetry, singularity)."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a defect in the program, not in
+    its input. Raised explicitly so that the check also runs under -O."""
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major."""

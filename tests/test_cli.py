@@ -151,6 +151,21 @@ def test_invalid_inputs(tmp_path, capsys):
     assert code == EXIT_INVALID
 
 
+def test_directory_as_matrix_is_invalid_input(tmp_path, capsys):
+    code, env = run_json(capsys, "solve-gram", "--gram", str(tmp_path))
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert "cannot read file" in env["payload"]["error"]
+
+
+def test_rule_without_id_is_invalid_input(tmp_path, capsys):
+    rules = [{"candidate": [[9, 1], [1, 2]], "kind": "solver_run", "params": {}}]
+    f = tmp_path / "rules.json"
+    f.write_text(json.dumps(rules), encoding="utf-8")
+    code, env = run_json(capsys, "casebook", "run", "--dim", "13", "--rules", str(f))
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert "lacks id" in env["payload"]["error"]
+
+
 def test_contribution_and_heights(capsys):
     q = "[[2,1],[0,1],[0,1],[0,1],[1,0]]"
     code, env = run_json(

@@ -1,6 +1,10 @@
 """Gram decomposition solver: exact solution sets, pinned searches,
 orthogonal columns, and verification."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from blocksmith import (
@@ -8,6 +12,8 @@ from blocksmith import (
     GramProblem,
     GramSolution,
     IntMatrix,
+    InvariantError,
+    gram,
     solve,
     solve_orthogonal_column,
     verify_solution,
@@ -109,6 +115,22 @@ def test_row_count_constraints():
     )
     assert [s.q.row_count for s in padded] == [6]
     assert all(any(x for x in s.q.rows[-1]) is False for s in padded)
+
+
+@pytest.mark.parametrize("sign_mode", ["nonnegative", "signed"])
+def test_zero_row_window_is_union_of_exact_counts(sign_mode):
+    c = M([[5, 2], [2, 4]])  # trace 9: the window reaches past it
+
+    def rows_of(row_count):
+        problem = GramProblem(
+            target_gram=c, sign_mode=sign_mode, row_count=row_count,
+            require_nonzero_rows=False,
+        )
+        return [s.q.rows for s in solve(problem)]
+
+    window = rows_of((6, 11))
+    assert window == [q for k in range(6, 12) for q in rows_of(k)]
+    assert {len(q) for q in window} == set(range(6, 12))
 
 
 def test_signed_mode_and_sign_dedup():
@@ -282,3 +304,31 @@ def test_every_solution_verifies(rng):
         p = GramProblem(target_gram=c)
         for s in solve(p):
             assert verify_solution(p, s)
+
+
+def test_failed_verification_raises(monkeypatch):
+    monkeypatch.setattr(gram, "verify_solution", lambda p, s: False)
+    with pytest.raises(InvariantError):
+        solve(GramProblem(target_gram=M([[5, 2], [2, 4]])))
+
+
+def test_invariant_checks_run_under_optimize():
+    code = """
+from blocksmith import InvariantError, IntMatrix, contrib, gram
+c = IntMatrix.from_rows([[5, 2], [2, 4]])
+q = IntMatrix.from_rows([[2, 1], [0, 1], [0, 1], [0, 1], [1, 0]])
+gram.verify_solution = lambda p, s: False
+contrib.adjugate = lambda m: IntMatrix.identity(2).scale(16)
+for check in (lambda: gram.solve(gram.GramProblem(c)),
+              lambda: contrib.contribution_matrix(q, c, 16)):
+    try:
+        check()
+    except InvariantError:
+        print("raised")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\nraised\n"

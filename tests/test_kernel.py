@@ -1,10 +1,10 @@
-"""Backend selection and pure-Python vs compiled kernel agreement."""
+"""The Gram-search kernel and the sign-representative search built on it."""
 
 import pytest
 
 from blocksmith import IntMatrix
 from blocksmith import _kernel
-from blocksmith.gram import _row_pool
+from blocksmith.gram import GramProblem, _row_pool, _solve_free
 
 TARGETS = [
     [[5, 2], [2, 4]],
@@ -16,58 +16,38 @@ TARGETS = [
     [[3, 1, 1], [1, 2, 1], [1, 1, 2]],
 ]
 
-has_c = "cython" in _kernel.available_backends()
+# Candidate Cartan matrices of entry sum 13 and 14, one to four simple
+# modules; the last one has no signed decomposition at all.
+CARTAN_CANDIDATES = [
+    [[13]],
+    [[8, 1], [1, 4]],
+    [[3, 2, 0], [2, 2, 1], [0, 1, 2]],
+    [[4, 1, 1], [1, 3, 0], [1, 0, 3]],
+    [[2, 1, 1, 0], [1, 2, 0, 1], [1, 0, 2, 0], [0, 1, 0, 2]],
+    [[3, 1, 2], [1, 3, 0], [2, 0, 2]],
+]
 
 
 def test_python_backend_always_available():
-    assert "python" in _kernel.available_backends()
+    assert _kernel.available_backends() == ("python",)
 
 
-def test_int64_safe_bounds():
-    assert _kernel.int64_safe([[5, 2], [2, 4]], 10, 20)
-    assert not _kernel.int64_safe([[2] * 7 for _ in range(7)], 10, 20)
-    assert not _kernel.int64_safe([[5, 2], [2, 4]], 5000, 20)
-    assert not _kernel.int64_safe([[5, 2], [2, 4]], 10, 100)
-    huge = [[40000, 0], [0, 40000]]
-    assert not _kernel.int64_safe(huge, 10, 20)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        _kernel.search_rows([[2]], [(1,)], 1, 2, backend="fortran")
-
-
-@pytest.mark.skipif(not has_c, reason="compiled kernel not built")
-@pytest.mark.parametrize("target", TARGETS)
-@pytest.mark.parametrize("signed", [False, True])
-def test_backend_parity(target, signed):
-    pool = _row_pool(IntMatrix.from_rows(target), signed=signed)
-    hi = sum(target[i][i] for i in range(len(target)))
-    a = _kernel.search_rows(target, pool, 1, hi, backend="py")
-    b = _kernel.search_rows(target, pool, 1, hi, backend="c")
-    assert a == b
-
-
-@pytest.mark.skipif(not has_c, reason="compiled kernel not built")
-def test_env_var_override(monkeypatch):
-    target = [[5, 2], [2, 4]]
-    pool = _row_pool(IntMatrix.from_rows(target), signed=False)
-    results = {}
-    for choice in ("py", "c", "auto"):
-        monkeypatch.setenv("BLOCKSMITH_KERNEL", choice)
-        results[choice] = _kernel.search_rows(target, pool, 1, 9)
-    assert results["py"] == results["c"] == results["auto"]
-    monkeypatch.setenv("BLOCKSMITH_KERNEL", "gpu")
-    with pytest.raises(ValueError):
-        _kernel.search_rows(target, pool, 1, 9)
+@pytest.mark.parametrize("target", TARGETS + CARTAN_CANDIDATES)
+def test_sign_representative_search_matches_full_pool(target):
+    c = IntMatrix.from_rows(target)
+    full = _kernel.search_rows(target, _row_pool(c, signed=True), 1, c.trace())
+    expanded = _solve_free(GramProblem(target_gram=c, sign_mode="signed"))
+    assert len(expanded) == len(set(expanded))
+    assert set(expanded) == set(full)
+    assert all(list(rows) == sorted(rows, reverse=True) for rows in expanded)
 
 
 def test_row_count_window():
     target = [[5, 2], [2, 4]]
     pool = _row_pool(IntMatrix.from_rows(target), signed=False)
-    everything = _kernel.search_rows(target, pool, 1, 9, backend="py")
-    only5 = _kernel.search_rows(target, pool, 5, 5, backend="py")
+    everything = _kernel.search_rows(target, pool, 1, 9)
+    only5 = _kernel.search_rows(target, pool, 5, 5)
     assert only5 == [rows for rows in everything if len(rows) == 5]
-    assert _kernel.search_rows(target, pool, 1, 4, backend="py") == [
+    assert _kernel.search_rows(target, pool, 1, 4) == [
         rows for rows in everything if len(rows) <= 4
     ]
