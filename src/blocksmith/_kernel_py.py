@@ -1,98 +1,97 @@
-"""Pure-Python Gram-decomposition kernel.
+"""Pure-Python Gram-decomposition kernel: the one row search of the package.
 
 Enumerates every way to write a symmetric positive definite integer matrix C
-as a sum of rank-one products r^t r over rows r drawn from a fixed candidate
-pool, emitting rows in nonincreasing pool order (row-permutation symmetry is
-broken at the source).
+as a sum of rank-one products r^t r, one row r per slot, in the manner of
+Plesken's short-vector search ("Solving XX^tr = A over the integers", Linear
+Algebra Appl. 226-228, 1995). Slot i draws from its own candidate list; a
+free problem gives every slot the same pool, a pinned problem gives each
+group of interchangeable rows its own list. Optional fixed columns add the
+constraint that the sequence is orthogonal to each of them.
 
-Since r^t r = (-r)^t (-r), a signed search need not walk both signs of a
-row: ``gram._solve_free`` passes only the sign representatives (rows whose
+Since r^t r = (-r)^t (-r), a signed free search need not walk both signs of
+a row: ``gram._solve_free`` passes only the sign representatives (rows whose
 first nonzero entry is positive) and expands the sign choices of each
 emitted sequence itself. The kernel does not depend on that; it searches
-whatever pool it is given.
+whatever lists it is given.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .intmat import psd_rank
+
 Row = tuple[int, ...]
 
-
-def _is_psd(a: list[list[int]]) -> bool:
-    # fraction-free symmetric elimination; a is consumed
-    idx = list(range(len(a)))
-    prev = 1
-    while idx:
-        k = idx[0]
-        akk = a[k][k]
-        if akk < 0:
-            return False
-        if akk == 0:
-            if any(a[k][j] != 0 for j in idx):
-                return False
-            idx = idx[1:]
-            continue
-        rest = idx[1:]
-        for i in rest:
-            for j in rest:
-                a[i][j] = (akk * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = akk
-        idx = rest
-    return True
+# looked up at every check, so that a caller can count the checks
+_is_psd = psd_rank
 
 
 def search_rows(
     c: Sequence[Sequence[int]],
-    pool: Sequence[Row],
+    slots: Sequence[Sequence[Row]],
     min_rows: int,
-    max_rows: int,
+    cols: Sequence[Sequence[int]] = (),
 ) -> list[tuple[Row, ...]]:
-    """All nonincreasing pool-row sequences whose rank-one sums equal C.
+    """All row sequences, one row from each leading slot, whose rank-one
+    sums equal C and which are orthogonal to every fixed column.
 
-    The pool must be sorted in decreasing lexicographic order and must not
-    contain the zero row; ``min_rows``/``max_rows`` bound the sequence length.
-    The residual C - sum(r^t r) is kept positive semidefinite at every step,
-    which both prunes and proves completeness (a residual that is not PSD
-    admits no further decomposition).
+    ``slots[i]`` lists the candidates of row i in decreasing lexicographic
+    order. Consecutive slots given the same list object hold interchangeable
+    rows and are filled nonincreasingly, so each multiset of their rows is
+    emitted once. A sequence is emitted as soon as it has at least
+    ``min_rows`` rows, the residual C - sum(r^t r) is zero and, for each
+    column u of ``cols`` (length ``len(slots)``), sum_i u[i] r_i is zero.
+
+    The residual is kept positive semidefinite at every step, which both
+    prunes and proves completeness (a residual that is not PSD admits no
+    further decomposition). Partial cross sums s_u are pruned by
+    Cauchy-Schwarz: s_u[v]^2 may not exceed the squared norm of u below the
+    current row times the residual diagonal entry v.
     """
     l = len(c)
-    res = [list(row) for row in c]
+    k = len(slots)
+    shared = [i > 0 and slots[i] is slots[i - 1] for i in range(k)]
+    tails = [[sum(x * x for x in col[i:]) for i in range(k + 1)] for col in cols]
     found: list[tuple[Row, ...]] = []
     chosen: list[Row] = []
 
-    def residual_is_zero() -> bool:
-        return all(x == 0 for row in res for x in row)
-
-    def fits(r: Row) -> bool:
-        for j in range(l):
-            if r[j] * r[j] > res[j][j]:
-                return False
-        trial = [
-            [res[i][j] - r[i] * r[j] for j in range(l)] for i in range(l)
-        ]
-        return _is_psd(trial)
-
-    def recurse(start: int) -> None:
-        if residual_is_zero():
-            if len(chosen) >= min_rows:
-                found.append(tuple(chosen))
+    def recurse(res: list[list[int]], cross: list[list[int]], start: int) -> None:
+        depth = len(chosen)
+        if depth >= min_rows and not any(map(any, res)) and not any(map(any, cross)):
+            found.append(tuple(chosen))
             return
-        if len(chosen) >= max_rows:
+        if depth == k:
             return
-        for idx in range(start, len(pool)):
-            r = pool[idx]
-            if not fits(r):
-                continue
-            for i in range(l):
-                for j in range(l):
-                    res[i][j] -= r[i] * r[j]
-            chosen.append(r)
-            recurse(idx)
-            chosen.pop()
-            for i in range(l):
-                for j in range(l):
-                    res[i][j] += r[i] * r[j]
+        cands = slots[depth]
+        for idx in range(start if shared[depth] else 0, len(cands)):
+            r = cands[idx]
+            for j in range(l):
+                if r[j] * r[j] > res[j][j]:
+                    break
+            else:
+                if cross:
+                    new_cross = [
+                        [s + col[depth] * x for s, x in zip(row, r)]
+                        for row, col in zip(cross, cols)
+                    ]
+                    if any(
+                        s * s > tail[depth + 1] * (res[v][v] - r[v] * r[v])
+                        for row, tail in zip(new_cross, tails)
+                        for v, s in enumerate(row)
+                    ):
+                        continue
+                else:
+                    new_cross = cross
+                new_res = [
+                    [x - ri * rj for x, rj in zip(row, r)]
+                    for row, ri in zip(res, r)
+                ]
+                if _is_psd([row[:] for row in new_res]) is None:
+                    continue
+                chosen.append(r)
+                recurse(new_res, new_cross, idx)
+                chosen.pop()
 
-    recurse(0)
+    recurse([list(row) for row in c], [[0] * l for _ in cols], 0)
     return found

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from types import GenericAlias
 from typing import Any, Sequence
 
 from .brauer import classify_defect1
@@ -27,14 +28,38 @@ from .contrib import contribution_matrix, heights_from_contribution
 from .gram import GramProblem, GramSolution, row_quad, solve, solve_orthogonal_column
 from .intmat import IntMatrix, adjugate, det, matrix_from_obj, p_adic_valuation
 
-RULE_KINDS = (
-    "tree_resolution",
-    "feasibility",
-    "solver_run",
-    "congruence",
-    "brauer_count",
-    "external_citation",
+# Rule schema. A field holds an int, bool or str (exactly that type), a
+# list[int] or list[str], a matrix (IntMatrix), anything (object), a row count
+# (_ROW_COUNT) or a nested object given as (fields, required keys).
+_ROW_COUNT = "an integer or [low, high]"
+_NAMES = {int: "an integer", bool: "a boolean", str: "a string", dict: "a JSON object"}
+_REF = ({"rule": str, "row_count": int}, {"rule"})
+_RULE = (
+    {"id": str, "candidate": IntMatrix, "kind": str, "params": dict, "citation": str,
+     "expected_outcome": object, "verdict": str, "requires_data": list[str]},
+    {"id", "candidate", "kind"},
 )
+# the params each kind reads; a solver_run with "orthogonal" reads nothing else
+_ORTHOGONAL = ({"orthogonal": (
+    {"gram_value": int, "q1_from": _REF, "q1": IntMatrix, "signed": bool,
+     "zero_rows": list[int]},
+    {"gram_value"},
+)}, {"orthogonal"})
+_PARAMS = {
+    "solver_run": ({
+        "gram": IntMatrix, "gram_from_data": str, "fixed_from": _REF,
+        "row_count": _ROW_COUNT, "sign_mode": str, "require_nonzero_rows": bool,
+        "zero_rows": list[int], "contribution": bool, "defect_order": int, "p": int,
+        "k_minus_l": bool, "valuation_filter": (
+            {"p": int, "required_valuation": int, "row_indices": list[int]},
+            {"p", "required_valuation", "row_indices"},
+        ),
+    }, set()),
+    "congruence": ({"p": int, "quotients": list[str]}, {"p"}),
+    "brauer_count": ({"quotient": str, "l_b": int, "match_rule": str}, {"quotient"}),
+    "external_citation": ({}, set()),
+}
+RULE_KINDS = tuple(_PARAMS)
 
 VERDICTS = ("realized", "excluded", "infeasible", "open_flagged", "unresolved")
 
@@ -183,13 +208,55 @@ def load_rules(dimension: int) -> list[CaseRule]:
     return [_rule_from_obj(obj) for obj in raw]
 
 
-def _rule_from_obj(obj: dict) -> CaseRule:
-    if not isinstance(obj, dict):
-        raise CasebookError(f"rule must be a JSON object, got {obj!r}")
-    missing = [key for key in ("id", "candidate", "kind") if key not in obj]
-    if missing:
-        raise CasebookError(f"rule {obj!r} lacks {', '.join(missing)}")
-    return CaseRule(
+def _is(value: Any, kind: Any) -> bool:
+    if kind is _ROW_COUNT:
+        return type(value) is int or _is(value, list[int]) and len(value) == 2
+    if isinstance(kind, GenericAlias):
+        return isinstance(value, list) and all(_is(x, kind.__args__[0]) for x in value)
+    return kind is object or type(value) is kind
+
+
+def _check(value: Any, kind: Any, where: str) -> None:
+    """Raise CasebookError unless value matches the schema kind."""
+    if kind is IntMatrix:
+        matrix_from_obj(value)
+    elif isinstance(kind, tuple):
+        fields, required = kind
+        _check(value, dict, where)
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise CasebookError(f"{where} has unknown keys {', '.join(unknown)}")
+        missing = sorted(required - set(value))
+        if missing:
+            raise CasebookError(f"{where} lacks {', '.join(missing)}")
+        for key, item in value.items():
+            _check(item, fields[key], f"{where}.{key}")
+    elif not _is(value, kind):
+        raise CasebookError(f"{where} must be {_NAMES.get(kind, kind)}, got {value!r}")
+
+
+def _check_params(kind: str, params: dict, where: str) -> None:
+    if kind == "solver_run" and "orthogonal" in params:
+        _check(params, _ORTHOGONAL, where)
+        if ("q1" in params["orthogonal"]) == ("q1_from" in params["orthogonal"]):
+            raise CasebookError(f"{where}.orthogonal needs exactly one of q1, q1_from")
+        return
+    _check(params, _PARAMS[kind], where)
+    if "gram" in params and "gram_from_data" in params:
+        raise CasebookError(f"{where} gives both gram and gram_from_data")
+    if "valuation_filter" in params:
+        k = params.get("row_count", params.get("fixed_from", {}).get("row_count"))
+        if type(k) is not int:
+            raise CasebookError(f"{where}.valuation_filter needs a fixed row count")
+        if not all(0 <= i < k for i in params["valuation_filter"]["row_indices"]):
+            raise CasebookError(f"{where}.valuation_filter.row_indices out of range")
+
+
+def _rule_from_obj(obj: Any) -> CaseRule:
+    """A rule from its JSON object, checked against the schema above."""
+    where = f"rule {obj.get('id', obj) if isinstance(obj, dict) else obj!r}"
+    _check(obj, _RULE, where)
+    rule = CaseRule(
         rule_id=obj["id"],
         candidate=matrix_from_obj(obj["candidate"]),
         kind=obj["kind"],
@@ -199,6 +266,8 @@ def _rule_from_obj(obj: dict) -> CaseRule:
         verdict=obj.get("verdict"),
         requires_data=tuple(obj.get("requires_data", ())),
     )
+    _check_params(rule.kind, rule.params, f"{where} params")
+    return rule
 
 
 def det25_decomposition(
@@ -460,6 +529,12 @@ def run_dimension(
 
     tree_matches = {r.cartan: r for r in classify_defect1(n)}
     engine = _Engine(n, data, catalog)
+    run_rule = {
+        "solver_run": engine.run_solver_rule,
+        "congruence": engine.run_congruence_rule,
+        "brauer_count": engine.run_brauer_count_rule,
+        "external_citation": lambda cand, rule: {"recorded": True},
+    }
     report_candidates = []
     regressions: list[dict] = []
     final_rows: list[dict] = []
@@ -509,21 +584,7 @@ def run_dimension(
                     entry["outcome"] = SKIPPED_OUTCOME
                     trail.append(entry)
                     continue
-                if rule.kind == "solver_run":
-                    outcome = engine.run_solver_rule(cand, rule)
-                elif rule.kind == "congruence":
-                    outcome = engine.run_congruence_rule(cand, rule)
-                elif rule.kind == "brauer_count":
-                    outcome = engine.run_brauer_count_rule(cand, rule)
-                elif rule.kind == "external_citation":
-                    outcome = {"recorded": True}
-                elif rule.kind == "feasibility":
-                    outcome = filter_block_feasible(cand).to_obj()
-                elif rule.kind == "tree_resolution":
-                    match = tree_matches.get(cand.matrix)
-                    outcome = {"matched": match is not None}
-                else:  # unreachable, kinds validated at construction
-                    raise CasebookError(rule.kind)
+                outcome = run_rule[rule.kind](cand, rule)
                 entry["outcome"] = outcome
                 if rule.citation:
                     entry["citation"] = rule.citation

@@ -372,6 +372,8 @@ def _cmd_casebook(args) -> tuple[dict, int, str | None]:
             raise CliError(
                 f"{args.rules}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
             )
+        if not isinstance(raw, list):
+            raise CliError(f"{args.rules}: rules file must hold a JSON list of rules")
         rules = [cb._rule_from_obj(obj) for obj in raw]
     report = cb.run_dimension(args.dim, rules=rules)
     obj = report.to_obj()

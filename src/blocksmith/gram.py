@@ -12,7 +12,7 @@ the defect group is trivial. The pruning licensed by the conservative bound
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
@@ -25,7 +25,6 @@ from .intmat import (
     adjugate,
     det,
     is_positive_definite,
-    is_positive_semidefinite,
 )
 
 Row = tuple[int, ...]
@@ -318,7 +317,7 @@ def _solve_free(p: GramProblem) -> list[tuple[Row, ...]]:
         lo = hi = p.row_count
     pad = not p.require_nonzero_rows and p.row_count is not None
     # nonzero rows each consume at least 1 of the trace
-    found = _kernel.search_rows(c.to_lists(), pool, 1 if pad else lo, min(hi, trace))
+    found = _kernel.search_rows(c.to_lists(), [pool] * min(hi, trace), 1 if pad else lo)
     if p.signed:
         found = [full for rows in found for full in _sign_expansions(rows)]
     if not pad:
@@ -332,97 +331,37 @@ def _solve_free(p: GramProblem) -> list[tuple[Row, ...]]:
 
 
 def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
+    """Row sequences of a pinned problem, before canonicalization.
+
+    Each group of interchangeable rows (``_row_groups``) gets one candidate
+    list, sorted decreasing: the zero row alone for forced zero rows,
+    otherwise the full pool, with the zero row sorted in when zero rows are
+    allowed. A diagonal constraint keeps the rows whose contribution
+    defect_order * r.adj(C).r^t / det C is the prescribed entry. The columns
+    of the fixed blocks go to the kernel as orthogonality constraints.
+    """
     c = p.target_gram
-    l = c.col_count
     k = p.pinned_row_count()
     assert k is not None
     pool = _row_pool(c, p.signed)
-    zero = (0,) * l
-    groups = _row_groups(p, k)
-    group_of = {}
-    for gi, g in enumerate(groups):
-        for i in g:
-            group_of[i] = gi
-
-    fixed_cols: list[tuple[int, ...]] = []
-    for b in p.fixed_blocks:
-        for u in range(b.col_count):
-            fixed_cols.append(tuple(b.rows[i][u] for i in range(k)))
-    # suffix squared norms of each fixed column, for Cauchy-Schwarz pruning
-    suffix_sq = [
-        [sum(col[t] * col[t] for t in range(i, k)) for i in range(k + 1)]
-        for col in fixed_cols
-    ]
-
+    zero = (0,) * c.col_count
+    if not p.require_nonzero_rows:
+        pool = sorted(pool + [zero], reverse=True)
     adj, d = _adjugate_and_det(c)
-    need_diag = p.diag_constraints
-    res = [list(row) for row in c.rows]
-    cross = [[0] * l for _ in fixed_cols]
-    chosen: list[Row] = []
-    out: list[tuple[Row, ...]] = []
-
-    def candidates(i: int) -> Iterable[Row]:
-        if i in p.zero_rows:
-            if need_diag is not None and need_diag[i] != 0:
-                return ()
-            return (zero,)
-        opts: list[Row] = list(pool)
-        if not p.require_nonzero_rows:
-            opts.append(zero)
-        if need_diag is not None:
-            # defect * quad / det must equal the prescribed diagonal entry
-            want = need_diag[i] * d
+    slots: list[list[Row]] = [[] for _ in range(k)]
+    for g in _row_groups(p, k):
+        opts = [zero] if g[0] in p.zero_rows else list(pool)
+        if p.diag_constraints is not None:
+            want = p.diag_constraints[g[0]] * d
             opts = [r for r in opts if row_quad(r, adj) * p.defect_order == want]
-        return opts
-
-    def feasible(i: int, r: Row) -> bool:
-        for j in range(l):
-            if r[j] * r[j] > res[j][j]:
-                return False
-        trial = [
-            [res[a][b] - r[a] * r[b] for b in range(l)] for a in range(l)
-        ]
-        if not is_positive_semidefinite(IntMatrix.from_rows(trial)):
-            return False
-        for ci, col in enumerate(fixed_cols):
-            for v in range(l):
-                s = cross[ci][v] + col[i] * r[v]
-                budget = trial[v][v]
-                if s * s > suffix_sq[ci][i + 1] * budget:
-                    return False
-        return True
-
-    def place(i: int) -> None:
-        if i == k:
-            if all(x == 0 for row in res for x in row) and all(
-                s == 0 for row in cross for s in row
-            ):
-                out.append(tuple(chosen))
-            return
-        prev_same_group = i > 0 and group_of[i] == group_of[i - 1]
-        for r in candidates(i):
-            if prev_same_group and r > chosen[-1]:
-                continue
-            if not feasible(i, r):
-                continue
-            for a in range(l):
-                for b in range(l):
-                    res[a][b] -= r[a] * r[b]
-            for ci, col in enumerate(fixed_cols):
-                for v in range(l):
-                    cross[ci][v] += col[i] * r[v]
-            chosen.append(r)
-            place(i + 1)
-            chosen.pop()
-            for a in range(l):
-                for b in range(l):
-                    res[a][b] += r[a] * r[b]
-            for ci, col in enumerate(fixed_cols):
-                for v in range(l):
-                    cross[ci][v] -= col[i] * r[v]
-
-    place(0)
-    return out
+        for i in g:
+            slots[i] = opts
+    cols = [
+        tuple(b.rows[i][u] for i in range(k))
+        for b in p.fixed_blocks
+        for u in range(b.col_count)
+    ]
+    return _kernel.search_rows(c.to_lists(), slots, k, cols)
 
 
 def solve_orthogonal_column(

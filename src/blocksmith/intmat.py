@@ -271,51 +271,47 @@ def _require_symmetric(m: IntMatrix) -> None:
         raise MatrixError("expected a symmetric matrix")
 
 
-def is_positive_definite(m: IntMatrix) -> bool:
-    """All leading principal minors positive (exact Bareiss pivots)."""
-    _require_symmetric(m)
-    n = m.row_count
-    a = [list(row) for row in m.rows]
+def psd_rank(a: list[list[int]]) -> int | None:
+    """Rank of the symmetric integer matrix ``a`` if it is positive
+    semidefinite, None otherwise; ``a`` is consumed.
+
+    Fraction-free (Bareiss) symmetric elimination: a negative pivot means
+    indefinite, a zero pivot forces the rest of its row to vanish (otherwise
+    indefinite) and is skipped, and each positive pivot is eliminated and
+    adds one to the rank. Every entry stays an exact integer minor.
+    """
+    n = len(a)
     prev = 1
+    rank = 0
     for k in range(n):
-        if a[k][k] <= 0:
-            # the pivot equals the k+1-st leading principal minor
-            return False
-        pivot = a[k][k]
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot < 0:
+            return None
+        if pivot == 0:
+            if any(pivot_row[k + 1 :]):
+                return None
+            continue
+        rank += 1
         for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+                row[j] = (pivot * row[j] - aik * pivot_row[j]) // prev
         prev = pivot
-    return True
+    return rank
+
+
+def is_positive_definite(m: IntMatrix) -> bool:
+    """Positive semidefinite of full rank."""
+    _require_symmetric(m)
+    return psd_rank(m.to_lists()) == m.row_count
 
 
 def is_positive_semidefinite(m: IntMatrix) -> bool:
-    """Exact PSD test by fraction-free symmetric reduction.
-
-    A zero diagonal pivot forces its whole row to vanish, otherwise the
-    matrix is indefinite; positive pivots are eliminated Bareiss-style.
-    """
+    """Exact PSD test, see ``psd_rank``."""
     _require_symmetric(m)
-    a = [list(row) for row in m.rows]
-    idx = list(range(m.row_count))
-    prev = 1
-    while idx:
-        k = idx[0]
-        if a[k][k] < 0:
-            return False
-        if a[k][k] == 0:
-            if any(a[k][j] != 0 for j in idx):
-                return False
-            idx = idx[1:]
-            continue
-        pivot = a[k][k]
-        rest = idx[1:]
-        for i in rest:
-            for j in rest:
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = pivot
-        idx = rest
-    return True
+    return psd_rank(m.to_lists()) is not None
 
 
 def is_indecomposable(m: IntMatrix) -> bool:

@@ -3,9 +3,10 @@
 Everything here is implemented independently of the package internals:
 permutation-expansion determinants, Fraction-based pivot tests, a direct
 multiset search for 2x2 Gram decompositions, Prüfer-sequence tree
-enumeration with brute-force isomorphism, and Cayley-table conjugacy
-counting. Agreement between these and the library is the point of the
-tests, so none of them may call back into blocksmith.
+enumeration with brute-force isomorphism, Cayley-table conjugacy
+counting, and a brute-force lister of pinned Gram decompositions. Agreement
+between these and the library is the point of the tests, so none of them may
+call back into blocksmith.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import settings
+
+# Property tests are replayed from a fixed seed and never timed out, so the
+# suite gives the same verdict on every run and on a slow machine.
+settings.register_profile("deterministic", deadline=None, derandomize=True)
+settings.load_profile("deterministic")
 
 
 # ---------------------------------------------------------------- matrices
@@ -109,6 +116,119 @@ def gram2_decompositions(a: int, b: int, d: int) -> set:
 
     rec(0, a, b, d, ())
     return found
+
+
+# ------------------------------------------------ pinned Gram brute force
+
+
+def adj_det(c):
+    """Adjugate and determinant of a 1x1 or 2x2 matrix."""
+    if len(c) == 1:
+        return [[1]], c[0][0]
+    (a, b), (_, d) = c
+    return [[d, -b], [-b, a]], a * d - b * b
+
+
+def quad(r, adj) -> int:
+    n = len(r)
+    return sum(r[i] * adj[i][j] * r[j] for i in range(n) for j in range(n))
+
+
+def pinned_gram_oracle(
+    c, k, signed, blocks=(), diag=None, defect_order=None, zero_rows=(),
+    require_nonzero_rows=True,
+) -> set:
+    """Every k x l integer matrix Q (a tuple of rows), l <= 2, with
+    Q^t Q = c; entries >= 0 unless signed; every nonzero row r obeying
+    r.adj(c).r^t < det c (<= when det c = 1); B^t Q = 0 for every fixed
+    block B (a list of k rows); defect_order * r_i.adj(c).r_i^t / det c
+    equal to diag[i]; rows in zero_rows zero and, if require_nonzero_rows,
+    every other row nonzero.
+
+    Rows are drawn one at a time from every integer vector whose squares fit
+    the remaining column norms; all constraints are checked on the complete
+    matrix.
+    """
+    l = len(c)
+    adj, det = adj_det(c)
+
+    def valid(q) -> bool:
+        if any(
+            sum(q[t][i] * q[t][j] for t in range(k)) != c[i][j]
+            for i in range(l)
+            for j in range(l)
+        ):
+            return False
+        for i, r in enumerate(q):
+            if i in zero_rows and any(r):
+                return False
+            if i not in zero_rows and require_nonzero_rows and not any(r):
+                return False
+            if any(r):
+                q_r = quad(r, adj)
+                if q_r > det or (q_r == det and det != 1):
+                    return False
+            if diag is not None:
+                num = defect_order * quad(r, adj)
+                if num % det or num // det != diag[i]:
+                    return False
+        return all(
+            sum(b[t][u] * q[t][j] for t in range(k)) == 0
+            for b in blocks
+            for u in range(len(b[0]))
+            for j in range(l)
+        )
+
+    found = set()
+
+    def rec(rows, norms):
+        if len(rows) == k:
+            if not any(norms) and valid(rows):
+                found.add(rows)
+            return
+        ranges = [
+            range(-isqrt(n), isqrt(n) + 1) if signed else range(isqrt(n) + 1)
+            for n in norms
+        ]
+        for r in itertools.product(*ranges):
+            rec(rows + (r,), [n - x * x for n, x in zip(norms, r)])
+
+    rec((), [c[j][j] for j in range(l)])
+    return found
+
+
+def pinned_gram_orbit(q, c, signed, blocks=(), diag=None, zero_rows=()) -> set:
+    """Images of Q under the column negations S with S c S = c (signed mode
+    only) and the permutations of rows that share their fixed-block rows,
+    diagonal constraint and zero-row flag."""
+    l, k = len(c), len(q)
+    groups: dict = {}
+    for i in range(k):
+        key = (
+            tuple(tuple(b[i]) for b in blocks),
+            None if diag is None else diag[i],
+            i in zero_rows,
+        )
+        groups.setdefault(key, []).append(i)
+    groups = list(groups.values())
+    if not signed:
+        patterns = [(1,) * l]
+    elif l == 2 and c[0][1] == 0:
+        patterns = list(itertools.product((1, -1), repeat=2))
+    else:
+        patterns = [(1,) * l, (-1,) * l]
+    orbit = set()
+    for pat in patterns:
+        signed_q = [tuple(s * x for s, x in zip(pat, r)) for r in q]
+        for perms in itertools.product(
+            *(itertools.permutations(g) for g in groups)
+        ):
+            image = list(signed_q)
+            for g, perm in zip(groups, perms):
+                for slot, src in zip(g, perm):
+                    image[slot] = signed_q[src]
+            orbit.add(tuple(image))
+    return orbit
 
 
 # ------------------------------------------------------------------- trees

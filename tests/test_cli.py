@@ -166,6 +166,88 @@ def test_rule_without_id_is_invalid_input(tmp_path, capsys):
     assert "lacks id" in env["payload"]["error"]
 
 
+D14_CANDIDATE = [[6, 1, 0], [1, 2, 1], [0, 1, 2]]
+VALID_PARAMS = {"contribution": True, "defect_order": 16, "p": 2}
+REF = {"rule": "d14-16-solve", "row_count": 5}
+VALUATION = {"p": 2, "required_valuation": 1, "row_indices": [0]}
+
+
+def run_rules(tmp_path, capsys, rules):
+    f = tmp_path / "rules.json"
+    f.write_text(json.dumps(rules), encoding="utf-8")
+    return run_json(capsys, "casebook", "run", "--dim", "14", "--rules", str(f))
+
+
+def probe_rule(**changes):
+    rule = {
+        "id": "probe",
+        "candidate": D14_CANDIDATE,
+        "kind": "solver_run",
+        "params": VALID_PARAMS,
+    }
+    rule.update(changes)
+    return rule
+
+
+def test_valid_probe_rule_runs(tmp_path, capsys):
+    code, env = run_rules(tmp_path, capsys, [probe_rule()])
+    assert code == EXIT_OK and env["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (probe_rule(kind="congruence", params={}), "lacks p"),
+        (probe_rule(kind="brauer_count", params={"l_b": 3}), "lacks quotient"),
+        (probe_rule(params=[1]), "params must be a JSON object"),
+        (probe_rule(params={"row_count": "x"}), "params.row_count must be"),
+        (probe_rule(params={"row_count": [5, "9"]}), "params.row_count must be"),
+        (probe_rule(params={"defect_order": 2.5}), "params.defect_order must be an integer"),
+        (probe_rule(kind="brauer_count", params={"quotient": "C2", "l_b": True}),
+         "params.l_b must be an integer"),
+        (probe_rule(params={"zero_rows": [0, 1.0]}), "params.zero_rows must be"),
+        (probe_rule(params={"orthogonal": {"q1_from": REF}}), "lacks gram_value"),
+        (probe_rule(params={"orthogonal": {"gram_value": 9}}),
+         "needs exactly one of q1, q1_from"),
+        (probe_rule(params={"fixed_from": REF, "valuation_filter": {
+            "p": 2, "required_valuation": 1, "row_indices": [99]}}), "out of range"),
+        (probe_rule(params={"valuation_filter": VALUATION}), "needs a fixed row count"),
+        (probe_rule(params={"contributon": True}), "unknown keys contributon"),
+        (probe_rule(expected={"solution_count": 2}), "unknown keys expected"),
+        (probe_rule(kind="congruence", params={"p": 2, "quotient": "C2"}),
+         "unknown keys quotient"),
+        (probe_rule(kind="external_citation", citation="x", params={"p": 2}),
+         "unknown keys p"),
+        (probe_rule(params={"orthogonal": {"gram_value": 9, "q1_from": REF},
+                            "sign_mode": "signed"}), "unknown keys sign_mode"),
+        (probe_rule(params={"orthogonal": {"gram_value": 9, "q1_from": REF,
+                                           "sign": False}}), "unknown keys sign"),
+        (probe_rule(params={"fixed_from": {"rule": "r", "rows": 5}}),
+         "params.fixed_from has unknown keys rows"),
+        (probe_rule(params={"fixed_from": REF, "valuation_filter": dict(
+            VALUATION, prime=2)}), "valuation_filter has unknown keys prime"),
+        (probe_rule(requires_data="fake_cartans"), "requires_data must be"),
+    ],
+)
+def test_malformed_rule_is_invalid_input(tmp_path, capsys, rule, message):
+    code, env = run_rules(tmp_path, capsys, [rule])
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert message in env["payload"]["error"]
+
+
+@pytest.mark.parametrize("kind", ["feasibility", "tree_resolution"])
+def test_dropped_rule_kind_is_invalid_input(tmp_path, capsys, kind):
+    code, env = run_rules(tmp_path, capsys, [probe_rule(kind=kind, params={})])
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert f"unknown rule kind {kind!r}" in env["payload"]["error"]
+
+
+def test_rules_file_must_be_a_list(tmp_path, capsys):
+    code, env = run_rules(tmp_path, capsys, 7)
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert "JSON list of rules" in env["payload"]["error"]
+
+
 def test_contribution_and_heights(capsys):
     q = "[[2,1],[0,1],[0,1],[0,1],[1,0]]"
     code, env = run_json(

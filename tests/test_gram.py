@@ -1,11 +1,13 @@
 """Gram decomposition solver: exact solution sets, pinned searches,
 orthogonal columns, and verification."""
 
+import itertools
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from blocksmith import (
     GramInputError,
@@ -21,7 +23,13 @@ from blocksmith import (
 from blocksmith.gram import row_is_valid, row_quad
 from blocksmith.intmat import adjugate, det
 
-from conftest import gram2_decompositions
+from conftest import (
+    adj_det,
+    gram2_decompositions,
+    pinned_gram_oracle,
+    pinned_gram_orbit,
+    quad,
+)
 
 
 def M(rows):
@@ -287,6 +295,71 @@ def test_solver_matches_brute_force_spot_checks():
         oracle = gram2_decompositions(a, b, d)
         got = multisets(solve(GramProblem(target_gram=M([[a, b], [b, d]]))))
         assert got == oracle, (a, b, d)
+
+
+@given(st.data())
+def test_pinned_search_matches_brute_force(data):
+    """Every Q the oracle lists lies in the orbit (column signs x row
+    permutations within groups) of exactly one returned solution, and every
+    such orbit consists of oracle matrices.
+
+    Each problem is built around a drawn matrix Q0 with C = Q0^t Q0: fixed
+    block columns are mostly drawn orthogonal to Q0, forced zero rows mostly
+    among its zero rows, and the diagonal constraints are mostly Q0's own
+    contributions, so that many problems have solutions."""
+    draw = data.draw
+    l = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 4))
+    signed = draw(st.booleans())
+    entries = st.integers(-2, 2) if signed else st.integers(0, 2)
+    q0 = [tuple(draw(entries) for _ in range(l)) for _ in range(k)]
+    c = [[sum(r[i] * r[j] for r in q0) for j in range(l)] for i in range(l)]
+    adj, det_c = adj_det(c)
+    assume(det_c > 0)
+    near = st.sampled_from([True, True, False])
+    vectors = list(itertools.product((-1, 0, 1), repeat=k))
+    orthogonal = [
+        v for v in vectors
+        if all(sum(v[t] * q0[t][j] for t in range(k)) == 0 for j in range(l))
+    ]
+    blocks = []
+    for width in draw(st.lists(st.integers(1, 2), max_size=2)):
+        cols = [
+            draw(st.sampled_from(orthogonal if draw(near) else vectors))
+            for _ in range(width)
+        ]
+        blocks.append([[col[i] for col in cols] for i in range(k)])
+    zero_pool = [i for i in range(k) if not any(q0[i])] if draw(near) else range(k)
+    zero_rows = draw(st.sets(st.sampled_from(list(zero_pool) or [0]), max_size=k))
+    require_nonzero_rows = draw(st.booleans())
+    diag = defect_order = None
+    if draw(st.booleans()):
+        defect_order = det_c * draw(st.integers(1, 2))
+        diag = [defect_order * quad(r, adj) // det_c for r in q0]
+        if not draw(near):
+            diag[draw(st.integers(0, k - 1))] += draw(st.integers(1, 2))
+    expected = pinned_gram_oracle(
+        c, k, signed, blocks, diag, defect_order, zero_rows, require_nonzero_rows
+    )
+    sols = solve(
+        GramProblem(
+            target_gram=M(c),
+            sign_mode="signed" if signed else "nonnegative",
+            row_count=k,
+            require_nonzero_rows=require_nonzero_rows,
+            fixed_blocks=tuple(M(b) for b in blocks),
+            diag_constraints=None if diag is None else tuple(diag),
+            defect_order=defect_order,
+            zero_rows=frozenset(zero_rows),
+        )
+    )
+    orbits = [
+        pinned_gram_orbit(s.q.rows, c, signed, blocks, diag, zero_rows) for s in sols
+    ]
+    for q in expected:
+        assert sum(q in orbit for orbit in orbits) == 1, q
+    for orbit in orbits:
+        assert orbit <= expected
 
 
 def test_every_solution_verifies(rng):

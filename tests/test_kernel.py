@@ -35,7 +35,7 @@ def test_python_backend_always_available():
 @pytest.mark.parametrize("target", TARGETS + CARTAN_CANDIDATES)
 def test_sign_representative_search_matches_full_pool(target):
     c = IntMatrix.from_rows(target)
-    full = _kernel.search_rows(target, _row_pool(c, signed=True), 1, c.trace())
+    full = _kernel.search_rows(target, [_row_pool(c, signed=True)] * c.trace(), 1)
     expanded = _solve_free(GramProblem(target_gram=c, sign_mode="signed"))
     assert len(expanded) == len(set(expanded))
     assert set(expanded) == set(full)
@@ -45,9 +45,9 @@ def test_sign_representative_search_matches_full_pool(target):
 def test_row_count_window():
     target = [[5, 2], [2, 4]]
     pool = _row_pool(IntMatrix.from_rows(target), signed=False)
-    everything = _kernel.search_rows(target, pool, 1, 9)
-    only5 = _kernel.search_rows(target, pool, 5, 5)
+    everything = _kernel.search_rows(target, [pool] * 9, 1)
+    only5 = _kernel.search_rows(target, [pool] * 5, 5)
     assert only5 == [rows for rows in everything if len(rows) == 5]
-    assert _kernel.search_rows(target, pool, 1, 4) == [
+    assert _kernel.search_rows(target, [pool] * 4, 1) == [
         rows for rows in everything if len(rows) <= 4
     ]
