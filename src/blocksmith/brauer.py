@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .intmat import IntMatrix, canonical_perm_form
 from .cartan import is_prime
 
-DEFAULT_EDGE_BOUND = 8
+EDGE_BOUND = 8
 
 
 class BrauerTreeError(ValueError):
@@ -180,15 +180,13 @@ def _free_trees(e: int) -> list[tuple[tuple[int, int], ...]]:
     return list(current.values())
 
 
-def enumerate_trees(
-    e: int, multiplicity: int = 1, bound: int = DEFAULT_EDGE_BOUND
-) -> list[BrauerTree]:
+def enumerate_trees(e: int, multiplicity: int = 1) -> list[BrauerTree]:
     """Marked trees with e edges, one per isomorphism class of the pair
     (tree, exceptional vertex), vertex choices identified under tree
     automorphisms. The marking is enumerated even for multiplicity 1, where
     it does not affect the Cartan matrix."""
-    if e > bound:
-        raise BrauerTreeError(f"edge count {e} exceeds bound {bound}")
+    if e > EDGE_BOUND:
+        raise BrauerTreeError(f"edge count {e} exceeds bound {EDGE_BOUND}")
     out = []
     for edges in _free_trees(e):
         seen = set()
@@ -272,47 +270,43 @@ class DefectOneMatch:
         }
 
 
-def classify_defect1(
-    dim: int, bound: int = DEFAULT_EDGE_BOUND
-) -> list[DefectOneMatch]:
+def classify_defect1(dim: int) -> list[DefectOneMatch]:
     """All Brauer tree algebras of the given dimension whose parameters fit
     a block with defect one: e * m = p - 1 for a prime p.
 
-    Cartan matrices are reported in canonical permutation form. Duplicate
-    parameter sets arising from collapsed markings are removed.
+    Tree shapes do not depend on m, and dim = m * deg(exc)^2 + rest, where
+    rest sums deg(v)^2 over the other vertices; so each marked tree has at
+    most one multiplicity m, computed directly. Cartan matrices are reported
+    in canonical permutation form. Duplicate parameter sets arising from
+    collapsed markings are removed, keeping the first tree in
+    ``enumerate_trees`` order.
     """
     if dim < 1:
         raise BrauerTreeError("dimension must be positive")
     out = []
     seen = set()
-    e = 1
-    while e <= bound and (e == 1 or 4 * e - 2 <= dim):
-        m = 1
-        while True:
-            trees = enumerate_trees(e, multiplicity=m, bound=bound)
-            dims = [dim_of_tree(t) for t in trees]
-            if min(dims) > dim:
-                break
+    # a tree with e edges has dimension at least 4e - 2 (the path, m = 1)
+    for e in range(1, min(EDGE_BOUND, (dim + 2) // 4) + 1):
+        for t in enumerate_trees(e):
+            exc2 = t.degree(t.exceptional) ** 2
+            m, r = divmod(dim - dim_of_tree(t) + exc2, exc2)
             p = e * m + 1
-            if is_prime(p):
-                for t, d in zip(trees, dims):
-                    if d != dim:
-                        continue
-                    cartan = canonical_perm_form(cartan_of_tree(t))
-                    key = (cartan, m, p)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(
-                        DefectOneMatch(
-                            shape=shape_name(t),
-                            tree=t,
-                            multiplicity=m,
-                            p=p,
-                            cartan=cartan,
-                        )
-                    )
-            m += 1
-        e += 1
+            if r or m < 1 or not is_prime(p):
+                continue
+            tree = BrauerTree(t.edges, t.exceptional, m)
+            cartan = canonical_perm_form(cartan_of_tree(tree))
+            key = (cartan, m, p)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(
+                DefectOneMatch(
+                    shape=shape_name(tree),
+                    tree=tree,
+                    multiplicity=m,
+                    p=p,
+                    cartan=cartan,
+                )
+            )
     out.sort(key=lambda r: (r.cartan.row_count, r.cartan.rows, r.multiplicity))
     return out

@@ -50,7 +50,6 @@ class GramProblem:
     sign_mode: str = "nonnegative"
     row_count: int | tuple[int, int] | None = None
     require_nonzero_rows: bool = True
-    require_indecomposable: bool = False
     fixed_blocks: tuple[IntMatrix, ...] = ()
     diag_constraints: tuple[int, ...] | None = None
     defect_order: int | None = None
@@ -209,29 +208,6 @@ def _solution_from_rows(rows: Sequence[Row]) -> GramSolution:
     return GramSolution(q=q, canonical_key=key)
 
 
-def _bipartite_connected(rows: Sequence[Row]) -> bool:
-    # rows and columns are nodes, nonzero entries are edges
-    k = len(rows)
-    l = len(rows[0]) if rows else 0
-    if k == 0 or l == 0:
-        return False
-    seen_rows, seen_cols = {0}, set()
-    frontier = [("r", 0)]
-    while frontier:
-        kind, idx = frontier.pop()
-        if kind == "r":
-            for j in range(l):
-                if rows[idx][j] != 0 and j not in seen_cols:
-                    seen_cols.add(j)
-                    frontier.append(("c", j))
-        else:
-            for i in range(k):
-                if rows[i][idx] != 0 and i not in seen_rows:
-                    seen_rows.add(i)
-                    frontier.append(("r", i))
-    return len(seen_rows) == k and len(seen_cols) == l
-
-
 def solve(p: GramProblem) -> list[GramSolution]:
     """Complete, duplicate-free solution list for the Gram problem.
 
@@ -241,8 +217,6 @@ def solve(p: GramProblem) -> list[GramSolution]:
     """
     p.validate()
     raw = _solve_pinned(p) if p.pinned else _solve_free(p)
-    if p.require_indecomposable:
-        raw = [rows for rows in raw if _bipartite_connected(rows)]
 
     patterns = _sign_patterns(p.target_gram) if p.signed else [
         (1,) * p.target_gram.col_count
@@ -373,8 +347,10 @@ def solve_orthogonal_column(
     """All integer columns v with v.v = gram_value and q1^t v = 0.
 
     Forced zero entries are respected; in signed mode the result is reported
-    up to global sign (first nonzero entry positive). An empty list means
-    the constraints are proved unsatisfiable.
+    up to global sign (first nonzero entry positive): the search admits
+    only nonnegative entries until it places a nonzero one, so each column
+    is found once, already in that sign. An empty list means the constraints
+    are proved unsatisfiable.
     """
     if gram_value <= 0:
         raise GramInputError("gram value must be positive")
@@ -399,7 +375,8 @@ def solve_orthogonal_column(
             choices: Iterable[int] = (0,)
         else:
             b = isqrt(remaining)
-            choices = range(-b, b + 1) if signed else range(0, b + 1)
+            # remaining < gram_value once a nonzero entry has been placed
+            choices = range(-b if signed and remaining < gram_value else 0, b + 1)
         for x in choices:
             rem = remaining - x * x
             if rem < 0:
@@ -415,14 +392,7 @@ def solve_orthogonal_column(
             entry.pop()
 
     place(0, gram_value, [0] * len(cols))
-    if signed:
-        canonical = set()
-        for v in out:
-            lead = next((x for x in v if x != 0), 0)
-            canonical.add(v if lead >= 0 else tuple(-x for x in v))
-        out = sorted(canonical, reverse=True)
-    else:
-        out = sorted(set(out), reverse=True)
+    out.sort(reverse=True)
     return out
 
 
@@ -465,6 +435,4 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
             num = p.defect_order * m_scaled.rows[i][i]
             if num % d != 0 or num // d != p.diag_constraints[i]:
                 return False
-    if p.require_indecomposable and not _bipartite_connected(q.rows):
-        return False
     return True

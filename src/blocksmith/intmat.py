@@ -40,7 +40,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return IntMatrix(tuple(tuple(row) for row in rows))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -123,6 +123,8 @@ def matrix_from_obj(obj: object) -> IntMatrix:
         obj = obj["rows"]
     if not isinstance(obj, list):
         raise MatrixError("matrix must be a list of rows")
+    if not all(isinstance(row, list) for row in obj):
+        raise MatrixError("each matrix row must be a list")
     return IntMatrix.from_rows(obj)
 
 
@@ -398,7 +400,7 @@ def _gcd(a: int, b: int) -> int:
 CANONICAL_DIM_BOUND = 8
 
 
-def canonical_perm_form(m: IntMatrix, max_dim: int = CANONICAL_DIM_BOUND) -> IntMatrix:
+def canonical_perm_form(m: IntMatrix) -> IntMatrix:
     """Canonical labeling under simultaneous row/column permutation.
 
     Among the permutations that leave the diagonal nonincreasing, the
@@ -407,8 +409,8 @@ def canonical_perm_form(m: IntMatrix, max_dim: int = CANONICAL_DIM_BOUND) -> Int
     """
     _require_symmetric(m)
     n = m.row_count
-    if n > max_dim:
-        raise MatrixError(f"canonical form limited to dimension {max_dim}")
+    if n > CANONICAL_DIM_BOUND:
+        raise MatrixError(f"canonical form limited to dimension {CANONICAL_DIM_BOUND}")
     best = None
     for perm in itertools.permutations(range(n)):
         diag = [m.rows[p][p] for p in perm]

@@ -4,9 +4,12 @@ Everything here is implemented independently of the package internals:
 permutation-expansion determinants, Fraction-based pivot tests, a direct
 multiset search for 2x2 Gram decompositions, Prüfer-sequence tree
 enumeration with brute-force isomorphism, Cayley-table conjugacy
-counting, and a brute-force lister of pinned Gram decompositions. Agreement
-between these and the library is the point of the tests, so none of them may
-call back into blocksmith.
+counting, and brute-force listers of pinned Gram decompositions and of
+orthogonal columns. Agreement between these and the library is the point of
+the tests, so none of them may call back into blocksmith. The one exception
+is ``multiplicity_search_classify``, a reference copy of a replaced
+algorithm that pins the output of its successor, not the primitives it
+shares with it.
 """
 
 from __future__ import annotations
@@ -231,6 +234,30 @@ def pinned_gram_orbit(q, c, signed, blocks=(), diag=None, zero_rows=()) -> set:
     return orbit
 
 
+# ---------------------------------------- orthogonal column brute force
+
+
+def orthogonal_column_oracle(q1, g, signed, zero_rows=()) -> list:
+    """Every integer vector v of length k = len(q1) with v.v = g, q1^t v = 0
+    (q1 a list of k rows) and v_i = 0 for i in zero_rows, sorted decreasing.
+    Entries are >= 0 unless signed; in signed mode v and -v are reported
+    once, as the one whose first nonzero entry is positive.
+
+    Every vector with entries in [-isqrt(g), isqrt(g)] is tested."""
+    k = len(q1)
+    b = isqrt(g)
+    found = set()
+    for v in itertools.product(range(-b if signed else 0, b + 1), repeat=k):
+        if sum(x * x for x in v) != g or any(v[i] for i in zero_rows):
+            continue
+        if any(sum(v[t] * q1[t][u] for t in range(k)) for u in range(len(q1[0]))):
+            continue
+        if next(x for x in v if x) < 0:
+            v = tuple(-x for x in v)
+        found.add(v)
+    return sorted(found, reverse=True)
+
+
 # ------------------------------------------------------------------- trees
 
 
@@ -309,6 +336,48 @@ def oracle_tree_cartan(edges, mark: int, m: int):
                 row.append(w(shared.pop()) if shared else 0)
         rows.append(row)
     return rows
+
+
+def multiplicity_search_classify(dim: int) -> list:
+    """``to_obj()`` list of the defect-one classification as it was first
+    computed: for each edge count e, the marked trees are enumerated again
+    for m = 1, 2, ... until even the smallest is larger than dim, and the
+    trees of dimension dim with e*m + 1 prime are kept, deduplicated by
+    (canonical Cartan matrix, m, p) in enumeration order, then sorted.
+
+    Built from the package's tree enumeration, Cartan matrices, shape names
+    and canonical form (looked up on ``blocksmith.brauer`` at call time), so
+    it pins representatives and order, not those primitives."""
+    from blocksmith import brauer
+    from blocksmith.cartan import is_prime
+
+    out = []
+    seen = set()
+    e = 1
+    while e <= 8 and (e == 1 or 4 * e - 2 <= dim):
+        m = 1
+        while True:
+            trees = brauer.enumerate_trees(e, multiplicity=m)
+            dims = [brauer.dim_of_tree(t) for t in trees]
+            if min(dims) > dim:
+                break
+            p = e * m + 1
+            if is_prime(p):
+                for t, d in zip(trees, dims):
+                    if d != dim:
+                        continue
+                    cartan = brauer.canonical_perm_form(brauer.cartan_of_tree(t))
+                    if (cartan, m, p) in seen:
+                        continue
+                    seen.add((cartan, m, p))
+                    out.append(brauer.DefectOneMatch(
+                        shape=brauer.shape_name(t), tree=t, multiplicity=m,
+                        p=p, cartan=cartan,
+                    ))
+            m += 1
+        e += 1
+    out.sort(key=lambda r: (r.cartan.row_count, r.cartan.rows, r.multiplicity))
+    return [r.to_obj() for r in out]
 
 
 # ------------------------------------------------------------------ groups

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from blocksmith import brauer
 from blocksmith.brauer import (
     BrauerTree,
     BrauerTreeError,
@@ -25,6 +26,7 @@ from blocksmith.cartan import is_prime
 from conftest import (
     canonical_marked_tree,
     marked_tree_classes,
+    multiplicity_search_classify,
     oracle_tree_cartan,
     prufer_trees,
 )
@@ -141,6 +143,27 @@ def test_classify_matches_brute_force(n):
         for r in classify_defect1(n)
     }
     assert got == oracle_classify(n)
+
+
+def test_classify_equals_multiplicity_search(monkeypatch):
+    """Closed-form multiplicities give exactly the matches, representatives
+    and order of the per-m search. Both sides share one memo of the
+    canonical form, which dominates their cost."""
+    monkeypatch.setattr(
+        brauer, "canonical_perm_form",
+        functools.lru_cache(maxsize=None)(brauer.canonical_perm_form),
+    )
+    for n in range(1, 41):
+        got = [r.to_obj() for r in classify_defect1(n)]
+        assert got == multiplicity_search_classify(n), n
+
+
+def test_classify_large_dimension():
+    # the per-m search would enumerate the trees 100,002 times for e = 1
+    matches = classify_defect1(100003)
+    assert ("edge", 100002, 100003) in {
+        (r.shape, r.multiplicity, r.p) for r in matches
+    }
 
 
 def test_dimension_13_and_14_tables():

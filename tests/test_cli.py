@@ -150,6 +150,19 @@ def test_invalid_inputs(tmp_path, capsys):
     code, env = run_json(capsys, "no-such-command")
     assert code == EXIT_INVALID
 
+    # entries are taken as they are parsed: no coercion to int
+    for text in ('[["a"]]', "[[null]]", "[[[1]]]", "[1,2]", '{"rows":[1]}',
+                 "[[4.5]]", "[[true]]", '[["4"]]'):
+        code, env = run_json(capsys, "solve-gram", "--gram", text)
+        assert code == EXIT_INVALID and env["status"] == "invalid_input", text
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"id": "r", "candidate": [[13.0]],
+                                  "kind": "solver_run", "params": {}}]))
+    code, env = run_json(
+        capsys, "casebook", "run", "--dim", "13", "--rules", str(rules)
+    )
+    assert code == EXIT_INVALID and "non-integer entry" in env["payload"]["error"]
+
 
 def test_directory_as_matrix_is_invalid_input(tmp_path, capsys):
     code, env = run_json(capsys, "solve-gram", "--gram", str(tmp_path))

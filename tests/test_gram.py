@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -26,6 +27,7 @@ from blocksmith.intmat import adjugate, det
 from conftest import (
     adj_det,
     gram2_decompositions,
+    orthogonal_column_oracle,
     pinned_gram_oracle,
     pinned_gram_orbit,
     quad,
@@ -162,12 +164,6 @@ def test_sign_dedup_uses_components():
     assert multisets(signed) == {((1, 0), (0, 1))}
 
 
-def test_indecomposable_filter():
-    c = M([[1, 0], [0, 1]])
-    assert solve(GramProblem(target_gram=c, require_indecomposable=True)) == []
-    assert len(solve(GramProblem(target_gram=c))) == 1
-
-
 def test_diag_constraints_pin_rows():
     c = M([[5, 2], [2, 4]])
     pinned = solve(
@@ -258,6 +254,38 @@ def test_orthogonal_column_unsigned():
     q = M([[1], [1]])
     assert solve_orthogonal_column(q, 2, signed=False) == []
     assert solve_orthogonal_column(q, 2, signed=True) == [(1, -1)]
+
+
+@given(st.data())
+def test_orthogonal_column_matches_brute_force(data):
+    """solve_orthogonal_column lists exactly the oracle's columns, in its
+    order, over k <= 5 rows, gram values g <= 9, both sign modes and forced
+    zero entries. Q1's columns are mostly drawn orthogonal to a drawn column
+    v0, g is mostly v0.v0 and the forced zeros mostly among v0's zero
+    entries, so that many problems have solutions."""
+    draw = data.draw
+    k = draw(st.integers(1, 5))
+    signed = draw(st.booleans())
+    v0, budget = [], 9
+    for _ in range(k):
+        b = isqrt(budget)
+        v0.append(draw(st.integers(-b if signed else 0, b)))
+        budget -= v0[-1] ** 2
+    assume(any(v0))
+    near = st.sampled_from([True, True, False])
+    g = 9 - budget if draw(near) else draw(st.integers(1, 9))
+    vectors = list(itertools.product((-1, 0, 1), repeat=k))
+    orthogonal = [v for v in vectors if sum(a * b for a, b in zip(v, v0)) == 0]
+    cols = [
+        draw(st.sampled_from(orthogonal if draw(near) else vectors))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    q1 = [[col[i] for col in cols] for i in range(k)]
+    zero_pool = [i for i in range(k) if not v0[i]] if draw(near) else range(k)
+    zero_rows = draw(st.sets(st.sampled_from(list(zero_pool) or [0]), max_size=k))
+    assert solve_orthogonal_column(
+        M(q1), g, signed=signed, zero_rows=zero_rows
+    ) == orthogonal_column_oracle(q1, g, signed, zero_rows)
 
 
 def test_verify_solution_rejects_wrong_answers():
