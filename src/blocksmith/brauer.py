@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intmat import IntMatrix, canonical_perm_form
 from .cartan import is_prime
@@ -22,6 +23,15 @@ EDGE_BOUND = 8
 
 class BrauerTreeError(ValueError):
     pass
+
+
+def _adjacency(edges) -> dict[int, list[int]]:
+    """Neighbour lists of the vertices that the edges touch, in edge order."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -44,22 +54,18 @@ class BrauerTree:
         # acyclic + connected follows from |E| = |V| - 1 + connectivity
         seen = {0}
         frontier = [0]
-        adj = self.adjacency()
         while frontier:
             v = frontier.pop()
-            for w in adj[v]:
+            for w in self.adjacency[v]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
         if len(seen) != e + 1:
             raise BrauerTreeError("edge set is not connected")
 
+    @cached_property
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(len(self.edges) + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        return _adjacency(self.edges)
 
     @property
     def edge_count(self) -> int:
@@ -69,7 +75,7 @@ class BrauerTree:
         return self.multiplicity if v == self.exceptional else 1
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
+        return len(self.adjacency[v])
 
 
 @dataclass(frozen=True)
@@ -123,22 +129,15 @@ def _rooted_code(adj: dict[int, list[int]], root: int, parent: int) -> str:
 def _marked_code(edges, marked: int) -> str:
     """Canonical code of the tree rooted at the marked vertex; equal codes
     mean the marked trees are isomorphic."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return _rooted_code(adj, marked, -1)
+    return _rooted_code(_adjacency(edges), marked, -1)
 
 
 def _free_code(edges) -> str:
     """Canonical code of the unmarked tree: root at the centroid, or at the
     centroid edge when there are two."""
-    verts = {v for ed in edges for v in ed}
+    adj = _adjacency(edges)
+    verts = set(adj)
     n = len(verts)
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
     # peel leaves to find the centroid(s)
     deg = {v: len(adj[v]) for v in verts}
     layer = [v for v in verts if deg[v] <= 1]
@@ -237,7 +236,7 @@ def shape_name(t: BrauerTree) -> str:
 
 
 def _distance(t: BrauerTree, v: int, targets) -> int:
-    adj = t.adjacency()
+    adj = t.adjacency
     frontier = [(v, 0)]
     seen = {v}
     while frontier:

@@ -415,8 +415,12 @@ class _Engine:
             ok = True
             for i in indices:
                 row = s.q.rows[i]
-                quad = row_quad(row, adj)
-                m_ii = defect_order * quad // d
+                m_ii, rem = divmod(defect_order * row_quad(row, adj), d)
+                if rem:
+                    raise CasebookError(
+                        "valuation filter: contribution entry is not integral; "
+                        "defect order does not match the decomposition"
+                    )
                 if m_ii == 0 or p_adic_valuation(m_ii, p) != required:
                     ok = False
                     break

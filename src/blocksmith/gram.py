@@ -187,19 +187,17 @@ def _canonicalize(
 ) -> tuple[Row, ...]:
     """Deterministic representative under allowed column signs and
     permutations within each pinned group."""
-    best = None
-    for pat in patterns:
+
+    def arrange(pat: tuple[int, ...]) -> tuple[Row, ...]:
         signed_rows = [tuple(s * x for s, x in zip(pat, r)) for r in rows]
         arranged: list[Row] = list(signed_rows)
         for g in groups:
             block = sorted((signed_rows[i] for i in g), reverse=True)
             for slot, row in zip(g, block):
                 arranged[slot] = row
-        key = tuple(arranged)
-        if best is None or key > best:
-            best = key
-    assert best is not None
-    return best
+        return tuple(arranged)
+
+    return max(arrange(pat) for pat in patterns)
 
 
 def _solution_from_rows(rows: Sequence[Row]) -> GramSolution:

@@ -8,6 +8,7 @@ Everything here is exact; no floating point is used anywhere in the package.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -378,23 +379,13 @@ def scaled_inverse(m: IntMatrix, s: int) -> ScaledInverse:
     if s <= 0:
         raise MatrixError("scale must be positive")
     num = adjugate(m).scale(s)
-    g = d
-    for row in num.rows:
-        for x in row:
-            g = _gcd(g, x)
-    g = abs(g) if g else abs(d)
+    g = math.gcd(d, *(x for row in num.rows for x in row))
     num = IntMatrix(tuple(tuple(x // g for x in row) for row in num.rows))
     denom = d // g
     if denom < 0:
         num = num.scale(-1)
         denom = -denom
     return ScaledInverse(numerator=num, denominator=denom)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 CANONICAL_DIM_BOUND = 8
@@ -405,21 +396,23 @@ def canonical_perm_form(m: IntMatrix) -> IntMatrix:
 
     Among the permutations that leave the diagonal nonincreasing, the
     row-major lexicographically largest conjugate is returned, so e.g.
-    [[2,1],[1,9]] maps to [[9,1],[1,2]]. Brute force; idempotent.
+    [[2,1],[1,9]] maps to [[9,1],[1,2]]. Those permutations are built
+    directly: the indices are sorted by decreasing diagonal entry, and each
+    block of equal diagonal entries is permuted on its own, so the search
+    runs over the product of the per-block permutations. Idempotent.
     """
     _require_symmetric(m)
     n = m.row_count
     if n > CANONICAL_DIM_BOUND:
         raise MatrixError(f"canonical form limited to dimension {CANONICAL_DIM_BOUND}")
-    best = None
-    for perm in itertools.permutations(range(n)):
-        diag = [m.rows[p][p] for p in perm]
-        if any(diag[i] < diag[i + 1] for i in range(n - 1)):
-            continue
-        key = tuple(m.rows[perm[i]][perm[j]] for i in range(n) for j in range(n))
-        if best is None or key > best:
-            best = key
-    assert best is not None
+    rows = m.rows
+    order = sorted(range(n), key=lambda i: -rows[i][i])
+    blocks = [tuple(g) for _, g in itertools.groupby(order, key=lambda i: rows[i][i])]
+    choices = itertools.product(*(itertools.permutations(b) for b in blocks))
+    best = max(
+        tuple(rows[i][j] for i in perm for j in perm)
+        for perm in (sum(choice, ()) for choice in choices)
+    )
     return IntMatrix(tuple(best[i * n : (i + 1) * n] for i in range(n)))
 
 

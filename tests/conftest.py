@@ -1,11 +1,11 @@
 """Shared oracles for the test suite.
 
 Everything here is implemented independently of the package internals:
-permutation-expansion determinants, Fraction-based pivot tests, a direct
-multiset search for 2x2 Gram decompositions, Prüfer-sequence tree
-enumeration with brute-force isomorphism, Cayley-table conjugacy
-counting, and brute-force listers of pinned Gram decompositions and of
-orthogonal columns. Agreement between these and the library is the point of
+permutation-expansion determinants, Fraction-based pivot tests, an
+all-permutations canonical form, a direct multiset search for 2x2 Gram
+decompositions, Prüfer-sequence tree enumeration with brute-force
+isomorphism, Cayley-table conjugacy counting, and brute-force listers of
+pinned Gram decompositions and of orthogonal columns. Agreement between these and the library is the point of
 the tests, so none of them may call back into blocksmith. The one exception
 is ``multiplicity_search_classify``, a reference copy of a replaced
 algorithm that pins the output of its successor, not the primitives it
@@ -68,6 +68,24 @@ def fraction_definiteness(rows) -> str:
             for j in range(k, n):
                 a[i][j] -= factor * a[k][j]
     return "psd" if rank_deficient else "pd"
+
+
+def all_permutations_canonical_form(rows) -> tuple:
+    """Canonical form under simultaneous row/column permutation, as it was
+    first computed: every permutation of range(n) is tried, those that break
+    the nonincreasing diagonal are discarded, and the row-major
+    lexicographically largest conjugate of the rest is returned as a tuple
+    of row tuples. Exponential; fine for n <= 8."""
+    n = len(rows)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        diag = [rows[p][p] for p in perm]
+        if any(diag[i] < diag[i + 1] for i in range(n - 1)):
+            continue
+        key = tuple(tuple(rows[i][j] for j in perm) for i in perm)
+        if best is None or key > best:
+            best = key
+    return best
 
 
 # ---------------------------------------------------- 2x2 Gram brute force

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from blocksmith import IntMatrix
+from blocksmith import IntMatrix, cartan
 from blocksmith.cartan import (
     CartanCandidate,
     CartanEnumError,
@@ -19,7 +19,7 @@ from blocksmith.cartan import (
 )
 from blocksmith.intmat import canonical_perm_form
 
-from conftest import fraction_definiteness
+from conftest import all_permutations_canonical_form, fraction_definiteness
 
 
 def orbit_min(rows):
@@ -90,6 +90,20 @@ def test_enumeration_is_deterministic_and_canonical():
         d = c.matrix.diagonal_entries()
         assert list(d) == sorted(d, reverse=True)
         assert c.matrix.entry_sum() == 13 and c.l == 3
+
+
+def test_enumeration_equals_all_permutations_canonical_form(monkeypatch):
+    """Every (entry sum <= 20, size) gives the same candidates, in the same
+    order, as enumeration with the all-permutations canonical form."""
+    sizes = range(1, 6)  # from l = 6 on, the smallest entry sum 4l - 2 exceeds 20
+    got = {(n, l): [c.to_obj() for c in enumerate_cartan(n, l)]
+           for n in range(1, 21) for l in sizes}
+    monkeypatch.setattr(
+        cartan, "canonical_perm_form",
+        lambda m: IntMatrix(all_permutations_canonical_form(m.rows)),
+    )
+    for (n, l), objs in got.items():
+        assert objs == [c.to_obj() for c in enumerate_cartan(n, l)], (n, l)
 
 
 def test_entry_sum_13_determinants():

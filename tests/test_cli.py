@@ -240,6 +240,14 @@ def test_valid_probe_rule_runs(tmp_path, capsys):
         (probe_rule(params={"fixed_from": REF, "valuation_filter": dict(
             VALUATION, prime=2)}), "valuation_filter has unknown keys prime"),
         (probe_rule(requires_data="fake_cartans"), "requires_data must be"),
+        # every row of [[7,1],[1,4]] has 0 < r.adj.r^t < det = 27, so no
+        # defect order prime to 3 makes a contribution entry integral
+        *(
+            (probe_rule(params={"gram": [[7, 1], [1, 4]], "row_count": 7,
+                                "defect_order": order, "valuation_filter": VALUATION}),
+             "valuation filter: contribution entry is not integral")
+            for order in (2, 5)
+        ),
     ],
 )
 def test_malformed_rule_is_invalid_input(tmp_path, capsys, rule, message):

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from blocksmith.intmat import (
     IntMatrix,
@@ -22,7 +23,11 @@ from blocksmith.intmat import (
     smith_normal_form,
 )
 
-from conftest import fraction_definiteness, naive_det
+from conftest import (
+    all_permutations_canonical_form,
+    fraction_definiteness,
+    naive_det,
+)
 
 
 def random_matrix(rng, n, m, lo=-9, hi=9):
@@ -183,6 +188,36 @@ def test_canonical_perm_form_is_permutation_invariant(rng):
             for p in itertools.permutations(range(n))
         }
         assert canon.rows in orbit
+
+
+def tied_symmetric(n, integer):
+    """Symmetric n x n matrix whose diagonal takes at most 3 values, so that
+    blocks of equal diagonal entries are common. ``integer(lo, hi)`` draws
+    from the closed range."""
+    values = [integer(0, 6) for _ in range(integer(2, 3))]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = values[integer(0, len(values) - 1)]
+        for j in range(i):
+            rows[i][j] = rows[j][i] = integer(-1, 2)
+    return rows
+
+
+@given(st.data())
+def test_canonical_perm_form_equals_all_permutations_oracle(data):
+    def integer(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    rows = tied_symmetric(integer(1, 6), integer)
+    got = canonical_perm_form(IntMatrix.from_rows(rows))
+    assert got.rows == all_permutations_canonical_form(rows)
+
+
+def test_canonical_perm_form_equals_oracle_large(rng):
+    for n in (7, 7, 7, 8, 8):
+        rows = tied_symmetric(n, rng.randint)
+        got = canonical_perm_form(IntMatrix.from_rows(rows))
+        assert got.rows == all_permutations_canonical_form(rows)
 
 
 def test_p_adic_valuation():
