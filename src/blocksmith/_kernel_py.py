@@ -13,11 +13,18 @@ a row: ``gram._solve_free`` passes only the sign representatives (rows whose
 first nonzero entry is positive) and expands the sign choices of each
 emitted sequence itself. The kernel does not depend on that; it searches
 whatever lists it is given.
+
+Besides the PSD test on the residual, each node passes a reach test: every
+nonzero residual entry must have the sign of r_i r_j for some row r that a
+completion may still add. A completion adds rows only from the current list
+from the current index on (while the run of slots sharing that list goes on)
+and from the full lists of the slots after that run, so a node failing the
+test has no completion. Both sets are bitmasks precomputed once per call.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .intmat import psd_rank
 
@@ -25,6 +32,20 @@ Row = tuple[int, ...]
 
 # looked up at every check, so that a caller can count the checks
 _is_psd = psd_rank
+
+
+def _sign_mask(values: Iterable[int]) -> int:
+    """Two bits per value, in order: the low one set if the value is
+    positive, the high one if it is negative."""
+    mask = 0
+    bit = 1
+    for x in values:
+        if x > 0:
+            mask |= bit
+        elif x < 0:
+            mask |= bit << 1
+        bit <<= 2
+    return mask
 
 
 def search_rows(
@@ -48,11 +69,38 @@ def search_rows(
     further decomposition). Partial cross sums s_u are pruned by
     Cauchy-Schwarz: s_u[v]^2 may not exceed the squared norm of u below the
     current row times the residual diagonal entry v.
+
+    Before the PSD test, a row is also pruned when its child residual R' has
+    an entry no completion can reach. After row ``idx`` of slot t, the
+    remaining rows come from ``slots[t][idx:]`` (if slot t + 1 shares the
+    list) and from the full lists of the slots after t's shared run, so
+    R'_ij is a sum of r_i r_j over those rows: R'_ij > 0 needs one of them
+    with r_i r_j > 0, and R'_ij < 0 one with r_i r_j < 0. The sign masks
+    of those rows (``_sign_mask``) are precomputed as suffix unions per
+    distinct list and unions per run end; the pruned nodes have no
+    completion, so the emitted list is the same, in the same order.
     """
     l = len(c)
     k = len(slots)
     shared = [i > 0 and slots[i] is slots[i - 1] for i in range(k)]
     tails = [[sum(x * x for x in col[i:]) for i in range(k + 1)] for col in cols]
+    # suffix[id(s)][idx]: union of the sign masks of r^t r over r in s[idx:],
+    # one pair of bits per entry i <= j in row-major order
+    suffix: dict[int, list[int]] = {}
+    for cands in slots:
+        if id(cands) not in suffix:
+            masks = [0] * (len(cands) + 1)
+            for idx in range(len(cands) - 1, -1, -1):
+                r = cands[idx]
+                products = (ri * rj for i, ri in enumerate(r) for rj in r[i:])
+                masks[idx] = masks[idx + 1] | _sign_mask(products)
+            suffix[id(cands)] = masks
+    # later[t]: union of the full lists of the slots after t's shared run
+    later = [0] * k
+    beyond = 0
+    for t in range(k - 1, -1, -1):
+        later[t] = later[t + 1] if t + 1 < k and shared[t + 1] else beyond
+        beyond |= suffix[id(slots[t])][0]
     found: list[tuple[Row, ...]] = []
     chosen: list[Row] = []
 
@@ -64,6 +112,8 @@ def search_rows(
         if depth == k:
             return
         cands = slots[depth]
+        rest = later[depth]
+        own = suffix[id(cands)] if depth + 1 < k and shared[depth + 1] else None
         for idx in range(start if shared[depth] else 0, len(cands)):
             r = cands[idx]
             for j in range(l):
@@ -87,6 +137,10 @@ def search_rows(
                     [x - ri * rj for x, rj in zip(row, r)]
                     for row, ri in zip(res, r)
                 ]
+                need = _sign_mask(x for i, row in enumerate(new_res) for x in row[i:])
+                reach = (rest | own[idx]) if own else rest
+                if need & ~reach:
+                    continue
                 if _is_psd([row[:] for row in new_res]) is None:
                     continue
                 chosen.append(r)

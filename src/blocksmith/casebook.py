@@ -26,7 +26,7 @@ from .cartan import (
 )
 from .contrib import contribution_matrix, heights_from_contribution
 from .gram import GramProblem, GramSolution, row_quad, solve, solve_orthogonal_column
-from .intmat import IntMatrix, adjugate, det, matrix_from_obj, p_adic_valuation
+from .intmat import IntMatrix, adjugate_and_det, matrix_from_obj, p_adic_valuation
 
 # Rule schema. A field holds an int, bool or str (exactly that type), a
 # list[int] or list[str], a matrix (IntMatrix), anything (object), a row count
@@ -408,8 +408,7 @@ class _Engine:
         p = filt["p"]
         required = filt["required_valuation"]
         indices = filt["row_indices"]
-        d = det(gram)
-        adj = adjugate(gram)
+        adj, d = adjugate_and_det(gram)
         survivors = []
         for s in sols:
             ok = True

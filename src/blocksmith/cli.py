@@ -81,6 +81,10 @@ def _envelope(command: str, inputs: Any, status: str, payload: Any) -> dict:
     }
 
 
+def _invalid_input(command: str, inputs: Any, error: Exception) -> dict:
+    return _envelope(command, inputs, "invalid_input", {"error": str(error)})
+
+
 def _parse_matrix(text: str) -> IntMatrix:
     """Inline JSON, or a path to a JSON file."""
     try:
@@ -360,22 +364,15 @@ def _cmd_brauer_trees(args) -> tuple[dict, int, str | None]:
 
 
 def _cmd_casebook(args) -> tuple[dict, int, str | None]:
-    rules = None
-    if args.rules is not None:
-        try:
-            raw = json.loads(Path(args.rules).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise CliError(f"rules file not found: {args.rules}")
-        except OSError as e:
-            raise CliError(f"{args.rules}: cannot read file: {e.strerror}")
-        except json.JSONDecodeError as e:
-            raise CliError(
-                f"{args.rules}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-            )
-        if not isinstance(raw, list):
-            raise CliError(f"{args.rules}: rules file must hold a JSON list of rules")
-        rules = [cb._rule_from_obj(obj) for obj in raw]
-    report = cb.run_dimension(args.dim, rules=rules)
+    """``casebook run``. A run with a rules file that fails is reported under
+    the command name and inputs digest its success would carry."""
+    inputs = {"dim": args.dim, "rules": args.rules}
+    try:
+        report = cb.run_dimension(args.dim, rules=_load_rules(args.rules))
+    except _INPUT_ERRORS as e:
+        if args.rules is None:
+            raise
+        return _invalid_input("casebook-run", inputs, e), EXIT_INVALID, None
     obj = report.to_obj()
     if args.report:
         Path(args.report).write_text(
@@ -383,7 +380,6 @@ def _cmd_casebook(args) -> tuple[dict, int, str | None]:
         )
     status = "regression" if report.regressions else "ok"
     code = EXIT_REGRESSION if report.regressions else EXIT_OK
-    inputs = {"dim": args.dim, "rules": args.rules}
     payload = {
         "final_table": obj["final_table"],
         "verdict_counts": _verdict_counts(obj),
@@ -400,6 +396,24 @@ def _cmd_casebook(args) -> tuple[dict, int, str | None]:
             lines.append(f"  [{flat}] -> {cand['verdict']}")
         text = "\n".join(lines) + "\n"
     return _envelope("casebook-run", inputs, status, payload), code, text
+
+
+def _load_rules(path: str | None) -> list | None:
+    if path is None:
+        return None
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise CliError(f"rules file not found: {path}")
+    except OSError as e:
+        raise CliError(f"{path}: cannot read file: {e.strerror}")
+    except json.JSONDecodeError as e:
+        raise CliError(
+            f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
+        )
+    if not isinstance(raw, list):
+        raise CliError(f"{path}: rules file must hold a JSON list of rules")
+    return [cb._rule_from_obj(obj) for obj in raw]
 
 
 def _verdict_counts(obj: dict) -> dict:
@@ -436,10 +450,7 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
         envelope, code, text = _HANDLERS[args.command](args)
     except _INPUT_ERRORS as e:
-        envelope = _envelope(
-            argv[0] if argv else "", {"argv": list(argv)}, "invalid_input",
-            {"error": str(e)},
-        )
+        envelope = _invalid_input(argv[0] if argv else "", {"argv": list(argv)}, e)
         sys.stdout.write(_dumps(envelope))
         return EXIT_INVALID
     if text is not None:

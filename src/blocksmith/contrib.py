@@ -15,8 +15,7 @@ from .intmat import (
     IntMatrix,
     InvariantError,
     MatrixError,
-    adjugate,
-    det,
+    adjugate_and_det,
     p_adic_valuation,
 )
 
@@ -50,17 +49,18 @@ class HeightProfile:
 def contribution_matrix(
     q: IntMatrix, c: IntMatrix, defect_order: int
 ) -> ContributionResult:
-    """|D| * Q * C^{-1} * Q^t, computed exactly via the adjugate."""
+    """|D| * Q * C^{-1} * Q^t, computed exactly via the adjugate, which is
+    shared with the Gram search of C (``adjugate_and_det``)."""
     if defect_order <= 0:
         raise ContributionError("defect order must be positive")
     if q.col_count != c.col_count or not c.is_square:
         raise ContributionError("shape mismatch between decomposition and Gram matrix")
-    d = det(c)
+    adj, d = adjugate_and_det(c)
     if d == 0:
         raise ContributionError("Gram matrix is singular")
     if q.transpose().matmul(q) != c:
         raise ContributionError("Q^t Q does not reproduce the Gram matrix")
-    scaled = q.matmul(adjugate(c)).matmul(q.transpose())
+    scaled = q.matmul(adj).matmul(q.transpose())
     rows = []
     for row in scaled.rows:
         out_row = []

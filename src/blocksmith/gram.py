@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -22,8 +21,7 @@ from .intmat import (
     IntMatrix,
     InvariantError,
     MatrixError,
-    adjugate,
-    det,
+    adjugate_and_det,
     is_positive_definite,
 )
 
@@ -134,16 +132,9 @@ def row_is_valid(r: Sequence[int], adj: IntMatrix, d: int) -> bool:
     return q < d
 
 
-@lru_cache(maxsize=32)
-def _adjugate_and_det(c: IntMatrix) -> tuple[IntMatrix, int]:
-    """adj(C) and det C, computed once per target and shared by the row
-    pool, the pinned search and every ``verify_solution`` call."""
-    return adjugate(c), det(c)
-
-
 def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:
     """Candidate rows, sorted decreasing; zero row excluded."""
-    adj, d = _adjugate_and_det(c)
+    adj, d = adjugate_and_det(c)
     bounds = [isqrt(c.rows[j][j]) for j in range(c.col_count)]
     ranges = [
         range(-b, b + 1) if signed else range(0, b + 1) for b in bounds
@@ -314,12 +305,13 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     """
     c = p.target_gram
     k = p.pinned_row_count()
-    assert k is not None
+    if k is None:
+        raise InvariantError("internal: pinned problem without a row count")
     pool = _row_pool(c, p.signed)
     zero = (0,) * c.col_count
     if not p.require_nonzero_rows:
         pool = sorted(pool + [zero], reverse=True)
-    adj, d = _adjugate_and_det(c)
+    adj, d = adjugate_and_det(c)
     slots: list[list[Row]] = [[] for _ in range(k)]
     for g in _row_groups(p, k):
         opts = [zero] if g[0] in p.zero_rows else list(pool)
@@ -413,7 +405,7 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
         return False
     if not p.signed and any(x < 0 for row in q.rows for x in row):
         return False
-    adj, d = _adjugate_and_det(c)
+    adj, d = adjugate_and_det(c)
     for i, row in enumerate(q.rows):
         forced_zero = i in p.zero_rows
         if forced_zero and any(row):

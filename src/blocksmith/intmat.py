@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -353,6 +354,14 @@ def adjugate(m: IntMatrix) -> IntMatrix:
             row.append((-1) ** (i + j) * det(minor))
         rows.append(tuple(row))
     return IntMatrix(tuple(rows))
+
+
+@lru_cache(maxsize=32)
+def adjugate_and_det(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """adj(m) and det m, computed once per matrix and shared by the row
+    pool, the pinned search, every ``verify_solution`` call and every
+    contribution matrix of one target."""
+    return adjugate(m), det(m)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ permutation-expansion determinants, Fraction-based pivot tests, an
 all-permutations canonical form, a direct multiset search for 2x2 Gram
 decompositions, Prüfer-sequence tree enumeration with brute-force
 isomorphism, Cayley-table conjugacy counting, and brute-force listers of
-pinned Gram decompositions and of orthogonal columns. Agreement between these and the library is the point of
-the tests, so none of them may call back into blocksmith. The one exception
-is ``multiplicity_search_classify``, a reference copy of a replaced
-algorithm that pins the output of its successor, not the primitives it
-shares with it.
+pinned Gram decompositions and of orthogonal columns. Agreement between
+these and the library is the point of the tests, so none of them may call
+back into blocksmith. The two exceptions are
+``multiplicity_search_classify`` and ``unpruned_search_rows``, reference
+copies of replaced algorithms that pin the output of their successors, not
+the primitives they share with them.
 """
 
 from __future__ import annotations
@@ -250,6 +251,53 @@ def pinned_gram_orbit(q, c, signed, blocks=(), diag=None, zero_rows=()) -> set:
                     image[slot] = signed_q[src]
             orbit.add(tuple(image))
     return orbit
+
+
+def unpruned_search_rows(c, slots, min_rows, cols=()) -> list:
+    """The Gram-search kernel as it was before the reach prune: the same
+    slots, emission rule, diagonal bound, Cauchy-Schwarz prune on the cross
+    sums and PSD test on the residual, and nothing else. Its output, order
+    included, is what ``blocksmith._kernel.search_rows`` must return."""
+    from blocksmith.intmat import psd_rank
+
+    l = len(c)
+    k = len(slots)
+    shared = [i > 0 and slots[i] is slots[i - 1] for i in range(k)]
+    tails = [[sum(x * x for x in col[i:]) for i in range(k + 1)] for col in cols]
+    found = []
+    chosen = []
+
+    def recurse(res, cross, start):
+        depth = len(chosen)
+        if depth >= min_rows and not any(map(any, res)) and not any(map(any, cross)):
+            found.append(tuple(chosen))
+            return
+        if depth == k:
+            return
+        cands = slots[depth]
+        for idx in range(start if shared[depth] else 0, len(cands)):
+            r = cands[idx]
+            if any(r[j] * r[j] > res[j][j] for j in range(l)):
+                continue
+            new_cross = [
+                [s + col[depth] * x for s, x in zip(row, r)]
+                for row, col in zip(cross, cols)
+            ]
+            if any(
+                s * s > tail[depth + 1] * (res[v][v] - r[v] * r[v])
+                for row, tail in zip(new_cross, tails)
+                for v, s in enumerate(row)
+            ):
+                continue
+            new_res = [[x - ri * rj for x, rj in zip(row, r)] for row, ri in zip(res, r)]
+            if psd_rank([row[:] for row in new_res]) is None:
+                continue
+            chosen.append(r)
+            recurse(new_res, new_cross, idx)
+            chosen.pop()
+
+    recurse([list(row) for row in c], [[0] * l for _ in cols], 0)
+    return found
 
 
 # ---------------------------------------- orthogonal column brute force

@@ -351,6 +351,34 @@ def test_casebook_regression_exit_code(tmp_path, capsys):
     assert env["payload"]["regressions"][0]["rule"] == "probe"
 
 
+@pytest.mark.parametrize(
+    "failing",
+    [
+        [probe_rule(params={"contributon": True})],
+        [probe_rule(params={"gram": [[7, 1], [1, 4]], "row_count": 7,
+                            "defect_order": 2, "valuation_filter": VALUATION})],
+        "not a rules file",
+        None,
+    ],
+)
+def test_failing_rules_file_names_the_run(tmp_path, capsys, failing):
+    """A run whose rules file fails (bad schema, a rule that raises, bad
+    JSON, a missing file) carries the command name and inputs digest of a
+    run of the same file that succeeds."""
+    code, ok = run_rules(tmp_path, capsys, [probe_rule()])
+    assert code == EXIT_OK and ok["command"] == "casebook-run"
+    f = tmp_path / "rules.json"
+    if failing is None:
+        f.unlink()
+    else:
+        text = failing if isinstance(failing, str) else json.dumps(failing)
+        f.write_text(text, encoding="utf-8")
+    code, env = run_json(capsys, "casebook", "run", "--dim", "14", "--rules", str(f))
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert env["command"] == ok["command"]
+    assert env["inputs_digest"] == ok["inputs_digest"]
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "blocksmith.cli", "snf", "--matrix", "[[7,1],[1,4]]"],

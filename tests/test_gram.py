@@ -419,7 +419,7 @@ from blocksmith import InvariantError, IntMatrix, contrib, gram
 c = IntMatrix.from_rows([[5, 2], [2, 4]])
 q = IntMatrix.from_rows([[2, 1], [0, 1], [0, 1], [0, 1], [1, 0]])
 gram.verify_solution = lambda p, s: False
-contrib.adjugate = lambda m: IntMatrix.identity(2).scale(16)
+contrib.adjugate_and_det = lambda m: (IntMatrix.identity(2).scale(16), 16)
 for check in (lambda: gram.solve(gram.GramProblem(c)),
               lambda: contrib.contribution_matrix(q, c, 16)):
     try:
