@@ -19,8 +19,8 @@ from .intmat import (
     canonical_perm_form,
     det,
     elementary_divisors,
-    is_indecomposable,
-    is_positive_definite,
+    is_connected,
+    psd_rank,
 )
 
 MAX_SUM_ENV = "BLOCKSMITH_MAX_SUM"
@@ -138,12 +138,12 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
             for (i, j), v in zip(pairs, off):
                 rows[i][j] = v
                 rows[j][i] = v
-            m = IntMatrix.from_rows(rows)
-            if not is_indecomposable(m):
+            # screened as plain lists; only a survivor becomes an IntMatrix
+            if not is_connected(rows):
                 continue
-            if not is_positive_definite(m):
+            if psd_rank([row[:] for row in rows]) != l:
                 continue
-            canon = canonical_perm_form(m)
+            canon = canonical_perm_form(IntMatrix.from_rows(rows))
             if canon in seen:
                 continue
             seen.add(canon)

@@ -364,20 +364,16 @@ def _cmd_brauer_trees(args) -> tuple[dict, int, str | None]:
 
 
 def _cmd_casebook(args) -> tuple[dict, int, str | None]:
-    """``casebook run``. A run with a rules file that fails is reported under
-    the command name and inputs digest its success would carry."""
+    """``casebook run``. A run that fails is reported under the command name
+    and inputs digest its success would carry."""
     inputs = {"dim": args.dim, "rules": args.rules}
     try:
         report = cb.run_dimension(args.dim, rules=_load_rules(args.rules))
+        obj = report.to_obj()
+        if args.report:
+            _write_report(args.report, obj)
     except _INPUT_ERRORS as e:
-        if args.rules is None:
-            raise
         return _invalid_input("casebook-run", inputs, e), EXIT_INVALID, None
-    obj = report.to_obj()
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
     status = "regression" if report.regressions else "ok"
     code = EXIT_REGRESSION if report.regressions else EXIT_OK
     payload = {
@@ -414,6 +410,15 @@ def _load_rules(path: str | None) -> list | None:
     if not isinstance(raw, list):
         raise CliError(f"{path}: rules file must hold a JSON list of rules")
     return [cb._rule_from_obj(obj) for obj in raw]
+
+
+def _write_report(path: str, obj: dict) -> None:
+    try:
+        Path(path).write_text(
+            json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+    except OSError as e:
+        raise CliError(f"{path}: cannot write report: {e.strerror}")
 
 
 def _verdict_counts(obj: dict) -> dict:

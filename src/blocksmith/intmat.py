@@ -2,6 +2,12 @@
 indecomposability, scaled inverses, and a canonical form under simultaneous
 row/column permutation.
 
+The canonical form is the row-major lexicographically largest conjugate
+among the permutations that keep the diagonal nonincreasing. It is built
+one row at a time: each row is made as large as it can be given the rows
+above it, and only the partial labellings that reach it are extended, so
+the search never walks the permutations whose leading rows already lose.
+
 Everything here is exact; no floating point is used anywhere in the package.
 """
 
@@ -321,13 +327,19 @@ def is_positive_semidefinite(m: IntMatrix) -> bool:
 def is_indecomposable(m: IntMatrix) -> bool:
     """Connectivity of the graph with edges at nonzero off-diagonal entries."""
     _require_symmetric(m)
-    n = m.row_count
+    return is_connected(m.rows)
+
+
+def is_connected(rows: Sequence[Sequence[int]]) -> bool:
+    """Connectivity of the graph on the indices of the square symmetric
+    ``rows`` with edges at nonzero off-diagonal entries."""
+    n = len(rows)
     seen = {0}
     frontier = [0]
     while frontier:
         i = frontier.pop()
         for j in range(n):
-            if j != i and j not in seen and m.rows[i][j] != 0:
+            if j != i and j not in seen and rows[i][j] != 0:
                 seen.add(j)
                 frontier.append(j)
     return len(seen) == n
@@ -405,10 +417,29 @@ def canonical_perm_form(m: IntMatrix) -> IntMatrix:
 
     Among the permutations that leave the diagonal nonincreasing, the
     row-major lexicographically largest conjugate is returned, so e.g.
-    [[2,1],[1,9]] maps to [[9,1],[1,2]]. Those permutations are built
-    directly: the indices are sorted by decreasing diagonal entry, and each
-    block of equal diagonal entries is permuted on its own, so the search
-    runs over the product of the per-block permutations. Idempotent.
+    [[2,1],[1,9]] maps to [[9,1],[1,2]]. Idempotent.
+
+    The conjugate is built one row at a time (individualization and
+    refinement in the sense of McKay, "Practical graph isomorphism", 1981,
+    kept to row-major order). A state is a prefix of chosen indices and an
+    ordered list of cells: indices of equal diagonal entry, each cell
+    occupying the next run of positions and still free to be permuted
+    within itself. The start state has the blocks of equal diagonal entry,
+    by decreasing diagonal. At level k a state tries each index x of its
+    first cell as position k and splits every remaining cell by decreasing
+    ``rows[x][.]``; row k is then the entries of ``rows[x]`` at the prefix,
+    at x and over the split cells in order. Only the states whose row k is
+    largest go on to level k + 1.
+
+    This is exact. The entries of row k before position k are those of
+    column k in rows 0..k-1, and its diagonal entry is the first cell's;
+    both are the same for every x of that cell, since a cell has one
+    diagonal value and was split by the rows of the prefix. The entries
+    after position k are largest exactly when every remaining cell is sorted
+    by ``rows[x][.]``, which is what the split records. So the states at
+    level k hold every permutation whose first k rows are the largest
+    possible, and the last level holds the maximum. The states never
+    outnumber the permutations of the blocks.
     """
     _require_symmetric(m)
     n = m.row_count
@@ -417,12 +448,41 @@ def canonical_perm_form(m: IntMatrix) -> IntMatrix:
     rows = m.rows
     order = sorted(range(n), key=lambda i: -rows[i][i])
     blocks = [tuple(g) for _, g in itertools.groupby(order, key=lambda i: rows[i][i])]
-    choices = itertools.product(*(itertools.permutations(b) for b in blocks))
-    best = max(
-        tuple(rows[i][j] for i in perm for j in perm)
-        for perm in (sum(choice, ()) for choice in choices)
-    )
-    return IntMatrix(tuple(best[i * n : (i + 1) * n] for i in range(n)))
+    states = [((), blocks)]
+    for _ in range(n):
+        best = None
+        survivors = []
+        for prefix, (first, *rest) in states:
+            for x in first:
+                others = tuple(z for z in first if z != x)
+                tail, cells = _split_cells(rows[x], [others, *rest])
+                if best is None or tail > best:
+                    best, survivors = tail, []
+                if tail == best:
+                    survivors.append((prefix + (x,), cells))
+        states = survivors
+    perm = states[0][0]
+    return IntMatrix(tuple(tuple(rows[i][j] for j in perm) for i in perm))
+
+
+def _split_cells(
+    row: Sequence[int], cells: list[tuple[int, ...]]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Split each cell by decreasing entry of ``row``: the entries of ``row``
+    over the split cells in order, and the nonempty split cells."""
+    tail: list[int] = []
+    split = []
+    for cell in cells:
+        if len(cell) == 1:
+            tail.append(row[cell[0]])
+            split.append(cell)
+        elif cell:
+            by_entry = sorted(cell, key=lambda z: -row[z])
+            for v, g in itertools.groupby(by_entry, key=row.__getitem__):
+                part = tuple(g)
+                tail += [v] * len(part)
+                split.append(part)
+    return tail, split
 
 
 def p_adic_valuation(n: int, p: int) -> int:

@@ -89,6 +89,14 @@ def all_permutations_canonical_form(rows) -> tuple:
     return best
 
 
+def graph_cartan(n: int, edges) -> list:
+    """2I plus the adjacency matrix of a simple graph on range(n)."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = 1
+    return rows
+
+
 # ---------------------------------------------------- 2x2 Gram brute force
 
 

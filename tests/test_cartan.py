@@ -19,7 +19,11 @@ from blocksmith.cartan import (
 )
 from blocksmith.intmat import canonical_perm_form
 
-from conftest import all_permutations_canonical_form, fraction_definiteness
+from conftest import (
+    all_permutations_canonical_form,
+    fraction_definiteness,
+    graph_cartan,
+)
 
 
 def orbit_min(rows):
@@ -104,6 +108,33 @@ def test_enumeration_equals_all_permutations_canonical_form(monkeypatch):
     )
     for (n, l), objs in got.items():
         assert objs == [c.to_obj() for c in enumerate_cartan(n, l)], (n, l)
+
+
+def simply_laced_dynkin(l):
+    """Edge lists of A_l, of D_l (l >= 4) and of E_l (l = 6, 7, 8)."""
+    path = [(i, i + 1) for i in range(l - 1)]
+    diagrams = [path]
+    if l >= 4:
+        diagrams.append(path[:-1] + [(l - 3, l - 1)])
+    if l in (6, 7, 8):
+        diagrams.append(path[:-1] + [(2, l - 1)])
+    return diagrams
+
+
+def test_minimal_sum_candidates_are_simply_laced_dynkin(monkeypatch):
+    """At the smallest entry sum 4l - 2 a candidate is 2I plus the adjacency
+    matrix of a tree, and positive definiteness leaves exactly the
+    simply-laced Dynkin diagrams. The expected forms come from the
+    all-permutations oracle."""
+    monkeypatch.setenv("BLOCKSMITH_MAX_SUM", "26")
+    for l, count in zip(range(2, 8), (1, 1, 2, 2, 3, 3)):
+        expected = sorted(
+            all_permutations_canonical_form(graph_cartan(l, edges))
+            for edges in simply_laced_dynkin(l)
+        )
+        got = [c.matrix.rows for c in enumerate_cartan(4 * l - 2, l)]
+        assert len(expected) == count
+        assert got == expected, l
 
 
 def test_entry_sum_13_determinants():

@@ -1,5 +1,6 @@
 """Command-line behavior: envelopes, exit codes, formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -377,6 +378,47 @@ def test_failing_rules_file_names_the_run(tmp_path, capsys, failing):
     assert code == EXIT_INVALID and env["status"] == "invalid_input"
     assert env["command"] == ok["command"]
     assert env["inputs_digest"] == ok["inputs_digest"]
+
+
+def run_digest(dim, rules=None):
+    """The inputs digest of a successful ``casebook run --dim dim``: SHA-256
+    of the canonical JSON of its command name and {dim, rules}."""
+    canon = json.dumps(
+        {"command": "casebook-run", "inputs": {"dim": dim, "rules": rules}},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "dim, error",
+    [(0, "dimension must be positive"), (99, "exceeds the configured bound")],
+)
+def test_failing_run_without_rules_names_the_run(capsys, dim, error):
+    """A failing run without --rules carries the command name and the
+    {dim, rules} digest of a success, not the first CLI word and argv."""
+    code, env = run_json(capsys, "casebook", "run", "--dim", str(dim))
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert error in env["payload"]["error"]
+    assert env["command"] == "casebook-run"
+    assert env["inputs_digest"] == run_digest(dim)
+
+
+def test_unwritable_report_path_is_invalid_input(tmp_path, capsys):
+    code, ok = run_json(capsys, "casebook", "run", "--dim", "13")
+    assert code == EXIT_OK and ok["inputs_digest"] == run_digest(13)
+    path = tmp_path / "missing_dir" / "r.json"
+    code, env = run_json(
+        capsys, "casebook", "run", "--dim", "13", "--report", str(path)
+    )
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert env["payload"]["error"] == (
+        f"{path}: cannot write report: No such file or directory"
+    )
+    assert env["command"] == ok["command"] == "casebook-run"
+    assert env["inputs_digest"] == ok["inputs_digest"]
+    assert not path.parent.exists()
 
 
 def test_console_script_entry_point():

@@ -26,6 +26,7 @@ from blocksmith.intmat import (
 from conftest import (
     all_permutations_canonical_form,
     fraction_definiteness,
+    graph_cartan,
     naive_det,
 )
 
@@ -218,6 +219,58 @@ def test_canonical_perm_form_equals_oracle_large(rng):
         rows = tied_symmetric(n, rng.randint)
         got = canonical_perm_form(IntMatrix.from_rows(rows))
         assert got.rows == all_permutations_canonical_form(rows)
+
+
+def symmetric_graphs():
+    """Graphs on 7 and 8 vertices with large automorphism groups, where many
+    partial labellings tie at every row of the canonical form."""
+    for n in (7, 8):
+        yield f"cycle{n}", n, [(i, (i + 1) % n) for i in range(n)]
+        yield f"star{n}", n, [(0, i) for i in range(1, n)]
+        a = n // 2
+        yield f"K{a},{n - a}", n, [(i, j) for i in range(a) for j in range(a, n)]
+        yield f"K{n}", n, list(itertools.combinations(range(n), 2))
+    cube = [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b]
+    yield "cube", 8, cube
+    yield "two_4_cycles", 8, [(i, (i + 1) % 4) for i in range(4)] + [
+        (4 + i, 4 + (i + 1) % 4) for i in range(4)
+    ]
+    yield "cocktail_party", 8, [
+        (i, j) for i, j in itertools.combinations(range(8), 2) if j != i + 4
+    ]
+
+
+SYMMETRIC_GRAPHS = list(symmetric_graphs())
+
+
+@pytest.mark.parametrize(
+    "name, n, edges", SYMMETRIC_GRAPHS, ids=[g[0] for g in SYMMETRIC_GRAPHS]
+)
+def test_canonical_perm_form_on_symmetric_graphs(rng, name, n, edges):
+    """Constant diagonal and a large automorphism group: every state of the
+    row-by-row construction can survive many levels."""
+    rows = graph_cartan(n, edges)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    shuffled = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    expected = all_permutations_canonical_form(rows)
+    assert canonical_perm_form(IntMatrix.from_rows(rows)).rows == expected
+    assert canonical_perm_form(IntMatrix.from_rows(shuffled)).rows == expected
+
+
+def test_canonical_perm_form_on_defect_one_tree_cartans():
+    """Every Brauer tree Cartan matrix classified for dimensions 20..34, in
+    the labelling its tree gives it."""
+    from blocksmith.brauer import cartan_of_tree, classify_defect1
+
+    matrices = {
+        cartan_of_tree(match.tree)
+        for dim in range(20, 35)
+        for match in classify_defect1(dim)
+    }
+    assert len(matrices) == 289
+    for m in matrices:
+        assert canonical_perm_form(m).rows == all_permutations_canonical_form(m.rows)
 
 
 def test_p_adic_valuation():
