@@ -7,6 +7,19 @@ defect order, which would force every other subsection contribution of that
 character to vanish and the character to have defect zero, impossible unless
 the defect group is trivial. The pruning licensed by the conservative bound
 (discard rows with r.adj(C).r^t > det C) is therefore never lossy here.
+
+Solutions are counted up to the column negations S with S C S = C (one sign
+per connected component of C) and the row permutations the problem allows,
+and each is reported as the row-major largest member of its class. A free
+signed problem is searched over sign representatives only (rows whose first
+nonzero entry is positive), and its classes are then built from each
+representative sequence X directly, one canonical form per class, without
+expanding every sign choice of X and deduplicating: with m_t copies of the
+row r_t in X, a class is a pair {j, m - j} of negation counts per row when
+C is connected, and for a disconnected C only the largest X of each orbit
+of the patterns is used (``_solve_free`` says why both are exact). Pinned
+problems canonicalize each sequence the kernel emits. ``verify_solution``
+re-checks every returned solution from its rows and columns.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernel
@@ -117,12 +131,7 @@ class GramSolution:
 
 def row_quad(r: Sequence[int], adj: IntMatrix) -> int:
     """r . adj . r^t, the scaled contribution of the row."""
-    total = 0
-    for i, ri in enumerate(r):
-        if ri:
-            row = adj.rows[i]
-            total += ri * sum(rj * row[j] for j, rj in enumerate(r) if rj)
-    return total
+    return sum(ri * sum(map(mul, row, r)) for ri, row in zip(r, adj.rows) if ri)
 
 
 def row_is_valid(r: Sequence[int], adj: IntMatrix, d: int) -> bool:
@@ -191,30 +200,27 @@ def _canonicalize(
     return max(arrange(pat) for pat in patterns)
 
 
-def _solution_from_rows(rows: Sequence[Row]) -> GramSolution:
-    q = IntMatrix.from_rows(rows)
-    key = repr(rows).encode()
-    return GramSolution(q=q, canonical_key=key)
+def _solution_from_rows(rows: tuple[Row, ...]) -> GramSolution:
+    # rows of the integer row pool, negated or zero: ints by construction
+    return GramSolution(q=IntMatrix._unchecked(rows), canonical_key=repr(rows).encode())
 
 
 def solve(p: GramProblem) -> list[GramSolution]:
     """Complete, duplicate-free solution list for the Gram problem.
+
+    Each solution is the canonical form of one class of row sequences under
+    the column-sign patterns and the allowed row permutations (all rows of a
+    free problem, each pinned group of a pinned one): the row-major largest
+    member, sorted by (row count, repr of its rows). ``_solve_free`` and
+    ``_solve_pinned`` give each class once.
 
     Returns [] when the constraints are proved unsatisfiable; raises
     GramInputError when the problem statement is malformed. Every returned
     solution passes ``verify_solution``; InvariantError is raised otherwise.
     """
     p.validate()
-    raw = _solve_pinned(p) if p.pinned else _solve_free(p)
-
-    patterns = _sign_patterns(p.target_gram) if p.signed else [
-        (1,) * p.target_gram.col_count
-    ]
-    seen = {}
-    for rows in raw:
-        canon = _canonicalize(rows, _row_groups(p, len(rows)), patterns)
-        seen[canon] = True
-    solutions = [_solution_from_rows(rows) for rows in seen]
+    canon = _solve_pinned(p) if p.pinned else _solve_free(p)
+    solutions = [_solution_from_rows(rows) for rows in canon]
     solutions.sort(key=lambda s: (s.q.row_count, s.canonical_key))
     for s in solutions:
         if not verify_solution(p, s):
@@ -225,12 +231,11 @@ def solve(p: GramProblem) -> list[GramSolution]:
 
 
 def _row_groups(p: GramProblem, k: int) -> list[list[int]]:
-    """Indices that may be permuted among each other."""
-    if not p.pinned:
-        return [list(range(k))]
-    kp = p.pinned_row_count() or k
+    """Indices of a pinned problem's k rows that may be permuted among each
+    other: those sharing their fixed-block rows, diagonal constraint and
+    zero-row flag."""
     keys = {}
-    for i in range(kp):
+    for i in range(k):
         key = (
             tuple(b.rows[i] for b in p.fixed_blocks),
             None if p.diag_constraints is None else p.diag_constraints[i],
@@ -240,32 +245,103 @@ def _row_groups(p: GramProblem, k: int) -> list[list[int]]:
     return list(keys.values())
 
 
-def _sign_expansions(rows: tuple[Row, ...]) -> Iterator[tuple[Row, ...]]:
-    """Every sign choice of a sequence of sign representatives, each sorted
-    decreasing. ``rows`` is nonincreasing, so equal rows are adjacent: a run
-    of m copies of r gives j copies of -r and m - j of r for j = 0..m."""
-    runs = []
-    for r, run in itertools.groupby(rows):
-        m = len(list(run))
-        neg = tuple(-x for x in r)
-        runs.append([(r,) * (m - j) + (neg,) * j for j in range(m + 1)])
-    for pick in itertools.product(*runs):
-        yield tuple(sorted(itertools.chain.from_iterable(pick), reverse=True))
+def _sign_rep(r: Row) -> Row:
+    """The one of r and -r whose first nonzero entry is positive."""
+    return r if next(x for x in r if x) > 0 else tuple(-x for x in r)
+
+
+def _class_codes(mults: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """One code from each pair {j, m - j}: the codes j (j_t of the m_t
+    copies of run t negated) with j <= m - j lexicographically. The first t
+    with 2 j_t != m_t has 2 j_t < m_t; if there is none, j = m / 2."""
+    balanced: list[int] = []
+    for t, m in enumerate(mults):
+        for jt in range((m + 1) // 2):
+            for rest in itertools.product(*(range(x + 1) for x in mults[t + 1 :])):
+                yield (*balanced, jt, *rest)
+        if m % 2:
+            return
+        balanced.append(m // 2)
+    yield tuple(balanced)
+
+
+def _sign_classes(
+    rows: tuple[Row, ...],
+    patterns: Sequence[tuple[int, ...]],
+    fills: Sequence[tuple[Row, ...]],
+) -> Iterator[tuple[Row, ...]]:
+    """For each code of ``_class_codes``, the largest sorted form of its
+    sign expansion of ``rows`` (nonincreasing sign representatives) under
+    the column negations ``patterns``, once with each zero-row fill of
+    ``fills``.
+
+    The expansion with code j has m_t - j_t copies of the run row r_t and
+    j_t of -r_t. Under a pattern S these are the 2T distinct rows +-S r_t,
+    so its sorted form is read off one decreasing order of them per
+    pattern, with no sort per expansion: the T rows whose first nonzero
+    entry is positive come first, then the zero rows, then the T others.
+    Comparing (positive part, negative part) pairs orders the forms as
+    whole sequences, whatever the fill, since the positive part of a form
+    is followed by rows smaller than any positive row."""
+    runs = [(r, len(list(g))) for r, g in itertools.groupby(rows)]
+    mults = [m for _, m in runs]
+    half = len(runs)
+    orders = []
+    for pat in patterns:
+        images = []
+        for t, (r, _) in enumerate(runs):
+            v = tuple(s * x for s, x in zip(pat, r))
+            images += [(v, t, False), (tuple(-x for x in v), t, True)]
+        images.sort(reverse=True)
+        orders.append((images[:half], images[half:]))
+    chain = itertools.chain.from_iterable
+    for code in _class_codes(mults):
+        # copies of r_t kept and negated, indexed by the negated flag
+        counts = [(m - j, j) for j, m in zip(code, mults)]
+        pos, neg = max(
+            tuple(
+                tuple(chain((v,) * counts[t][negated] for v, t, negated in part))
+                for part in order
+            )
+            for order in orders
+        )
+        for fill in fills:
+            yield pos + fill + neg
 
 
 def _solve_free(p: GramProblem) -> list[tuple[Row, ...]]:
-    """Row sequences of an unpinned problem, before canonicalization.
+    """Canonical row sequences of an unpinned problem, one per solution.
+
+    The kernel emits each multiset of rows once, as a nonincreasing
+    sequence, so a nonnegative sequence is already its canonical form.
 
     A signed search hands the kernel only the sign representatives of the
     pool (rows whose first nonzero entry is positive): r and -r give the
     same r^t r, so a full-pool search walks every partial solution once per
-    sign choice. Each representative sequence is then expanded by
-    ``_sign_expansions``; the result is exactly the set of sequences the
-    full-pool search emits.
+    sign choice. A representative sequence X stands for its sign
+    expansions, the sequences with j_t of the m_t copies of each row r_t
+    negated; together they are exactly what the full-pool search emits.
+    The solutions are the classes of expansions under the column-sign
+    patterns, each named by its largest sorted form, and each is built from
+    X once instead of expanding every sequence and discarding duplicates:
+
+    - -I keeps X and maps code j to m - j, so the codes j <= m - j of
+      ``_class_codes`` meet every class of X. For a connected target (every
+      Cartan candidate), +-I are the only patterns, so these codes are the
+      classes of X, one each, and the identity's form is already the larger
+      (at the first run where j and m - j differ it keeps more positive
+      copies); ``_sign_classes`` builds just that form.
+    - Disconnected target: a pattern S maps the expansions of X one to one
+      onto those of rep(S X), the sorted sign representatives of its rows,
+      so every class meets the expansions of each X of its orbit. Only the
+      largest X of each orbit is used; ``_sign_classes`` takes the largest
+      form over all patterns, and the classes of that X are deduplicated
+      among themselves.
 
     With zero rows allowed, a row-count window is the union of its exact
     counts: a sequence of n nonzero rows is padded with zero rows to every
-    count of the window that is at least n.
+    count of the window that is at least n. Zero rows are fixed by every
+    pattern and sort between the positive and the negated rows.
     """
     c = p.target_gram
     pool = _row_pool(c, p.signed)
@@ -281,27 +357,44 @@ def _solve_free(p: GramProblem) -> list[tuple[Row, ...]]:
     pad = not p.require_nonzero_rows and p.row_count is not None
     # nonzero rows each consume at least 1 of the trace
     found = _kernel.search_rows(c.to_lists(), [pool] * min(hi, trace), 1 if pad else lo)
-    if p.signed:
-        found = [full for rows in found for full in _sign_expansions(rows)]
-    if not pad:
-        return found
     zero = (0,) * c.col_count
-    return [
-        rows + (zero,) * (k - len(rows))
-        for rows in found
-        for k in range(max(len(rows), lo), hi + 1)
-    ]
+
+    def fills(n: int) -> list[tuple[Row, ...]]:
+        if not pad:
+            return [()]
+        return [(zero,) * (k - n) for k in range(max(n, lo), hi + 1)]
+
+    if not p.signed:
+        return [rows + fill for rows in found for fill in fills(len(rows))]
+    patterns = _sign_patterns(c)
+    if len(patterns) == 2:
+        return [
+            form
+            for rows in found
+            for form in _sign_classes(rows, [(1,) * c.col_count], fills(len(rows)))
+        ]
+    out: list[tuple[Row, ...]] = []
+    for rows in found:
+        orbit = (
+            sorted((_sign_rep(tuple(s * x for s, x in zip(pat, r))) for r in rows), reverse=True)
+            for pat in patterns
+        )
+        if list(rows) == max(orbit):
+            out += dict.fromkeys(_sign_classes(rows, patterns, fills(len(rows))))
+    return out
 
 
 def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
-    """Row sequences of a pinned problem, before canonicalization.
+    """Canonical row sequences of a pinned problem, one per solution.
 
     Each group of interchangeable rows (``_row_groups``) gets one candidate
     list, sorted decreasing: the zero row alone for forced zero rows,
     otherwise the full pool, with the zero row sorted in when zero rows are
     allowed. A diagonal constraint keeps the rows whose contribution
     defect_order * r.adj(C).r^t / det C is the prescribed entry. The columns
-    of the fixed blocks go to the kernel as orthogonality constraints.
+    of the fixed blocks go to the kernel as orthogonality constraints. The
+    kernel walks both signs of every row, and each emitted sequence is
+    canonicalized under every pattern and deduplicated.
     """
     c = p.target_gram
     k = p.pinned_row_count()
@@ -312,8 +405,9 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     if not p.require_nonzero_rows:
         pool = sorted(pool + [zero], reverse=True)
     adj, d = adjugate_and_det(c)
+    groups = _row_groups(p, k)
     slots: list[list[Row]] = [[] for _ in range(k)]
-    for g in _row_groups(p, k):
+    for g in groups:
         opts = [zero] if g[0] in p.zero_rows else list(pool)
         if p.diag_constraints is not None:
             want = p.diag_constraints[g[0]] * d
@@ -325,7 +419,9 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
         for b in p.fixed_blocks
         for u in range(b.col_count)
     ]
-    return _kernel.search_rows(c.to_lists(), slots, k, cols)
+    patterns = _sign_patterns(c) if p.signed else [(1,) * c.col_count]
+    found = _kernel.search_rows(c.to_lists(), slots, k, cols)
+    return list(dict.fromkeys(_canonicalize(rows, groups, patterns) for rows in found))
 
 
 def solve_orthogonal_column(
@@ -387,42 +483,44 @@ def solve_orthogonal_column(
 
 
 def verify_solution(p: GramProblem, s: GramSolution) -> bool:
-    """Re-derive every constraint of the problem from scratch."""
+    """Re-derive every constraint of the problem from the rows and columns
+    of Q: the row counts, Q^t Q = C, the signs, each row's bound and
+    zero-row flag, B^t Q = 0 for each fixed block B and the contribution
+    diagonal. No intermediate matrix is built."""
     q = s.q
     c = p.target_gram
     if q.col_count != c.col_count:
         raise MatrixError("solution has wrong column count")
+    n = q.row_count
     k = p.pinned_row_count()
-    if k is not None and q.row_count != k:
+    if k is not None and n != k:
         return False
-    if isinstance(p.row_count, int) and q.row_count != p.row_count:
+    if isinstance(p.row_count, int) and n != p.row_count:
         return False
-    if isinstance(p.row_count, tuple) and not (
-        p.row_count[0] <= q.row_count <= p.row_count[1]
-    ):
+    if isinstance(p.row_count, tuple) and not (p.row_count[0] <= n <= p.row_count[1]):
         return False
-    if q.transpose().matmul(q) != c:
+    cols = tuple(zip(*q.rows))
+    if tuple(tuple(sum(map(mul, u, v)) for v in cols) for u in cols) != c.rows:
         return False
     if not p.signed and any(x < 0 for row in q.rows for x in row):
         return False
-    adj, d = adjugate_and_det(c)
     for i, row in enumerate(q.rows):
         forced_zero = i in p.zero_rows
         if forced_zero and any(row):
             return False
         if not forced_zero and p.require_nonzero_rows and not any(row):
             return False
-        if any(row) and not row_is_valid(row, adj, d):
-            return False
+    adj, d = adjugate_and_det(c)
+    if not all(row_is_valid(row, adj, d) for row in set(q.rows) if any(row)):
+        return False
     for b in p.fixed_blocks:
-        if b.transpose().matmul(q) != IntMatrix.from_rows(
-            [[0] * q.col_count for _ in range(b.col_count)]
+        if b.row_count != n or any(
+            sum(map(mul, u, v)) for u in zip(*b.rows) for v in cols
         ):
             return False
     if p.diag_constraints is not None:
-        m_scaled = q.matmul(adj).matmul(q.transpose())
-        for i in range(q.row_count):
-            num = p.defect_order * m_scaled.rows[i][i]
-            if num % d != 0 or num // d != p.diag_constraints[i]:
+        for row, want in zip(q.rows, p.diag_constraints):
+            num = p.defect_order * row_quad(row, adj)
+            if num % d != 0 or num // d != want:
                 return False
     return True

@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -31,7 +32,12 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major.
+
+    Every construction from outside data checks each entry. Products,
+    transposes, scalings, minors, conjugates and the Gram search's rows
+    hold ints by construction and go through ``_unchecked`` instead.
+    """
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -49,6 +55,14 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(row) for row in rows))
+
+    @staticmethod
+    def _unchecked(rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix of ``rows``, a nonempty rectangular tuple of int tuples
+        by construction; neither the shape nor an entry is checked again."""
+        m = object.__new__(IntMatrix)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -95,21 +109,20 @@ class IntMatrix:
         return tuple(self.rows[i][i] for i in range(self.row_count))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return IntMatrix._unchecked(tuple(zip(*self.rows)))
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.col_count != other.row_count:
             raise MatrixError("dimension mismatch in product")
-        cols = other.transpose().rows
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+        cols = tuple(zip(*other.rows))
+        return IntMatrix._unchecked(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows)
         )
 
     def scale(self, s: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(s * x for x in row) for row in self.rows))
+        if not isinstance(s, int):
+            raise MatrixError(f"non-integer scale {s!r}")
+        return IntMatrix._unchecked(tuple(tuple(s * x for x in row) for row in self.rows))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -356,7 +369,7 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     for i in range(n):
         row = []
         for j in range(n):
-            minor = IntMatrix(
+            minor = IntMatrix._unchecked(
                 tuple(
                     tuple(m.rows[r][c] for c in range(n) if c != i)
                     for r in range(n)
@@ -365,7 +378,7 @@ def adjugate(m: IntMatrix) -> IntMatrix:
             )
             row.append((-1) ** (i + j) * det(minor))
         rows.append(tuple(row))
-    return IntMatrix(tuple(rows))
+    return IntMatrix._unchecked(tuple(rows))
 
 
 @lru_cache(maxsize=32)
@@ -462,7 +475,7 @@ def canonical_perm_form(m: IntMatrix) -> IntMatrix:
                     survivors.append((prefix + (x,), cells))
         states = survivors
     perm = states[0][0]
-    return IntMatrix(tuple(tuple(rows[i][j] for j in perm) for i in perm))
+    return IntMatrix._unchecked(tuple(tuple(rows[i][j] for j in perm) for i in perm))
 
 
 def _split_cells(

@@ -7,10 +7,10 @@ decompositions, Prüfer-sequence tree enumeration with brute-force
 isomorphism, Cayley-table conjugacy counting, and brute-force listers of
 pinned Gram decompositions and of orthogonal columns. Agreement between
 these and the library is the point of the tests, so none of them may call
-back into blocksmith. The two exceptions are
-``multiplicity_search_classify`` and ``unpruned_search_rows``, reference
-copies of replaced algorithms that pin the output of their successors, not
-the primitives they share with them.
+back into blocksmith. The three exceptions are
+``multiplicity_search_classify``, ``unpruned_search_rows`` and
+``expanding_solve``, reference copies of replaced algorithms that pin the
+output of their successors, not the primitives they share with them.
 """
 
 from __future__ import annotations
@@ -306,6 +306,115 @@ def unpruned_search_rows(c, slots, min_rows, cols=()) -> list:
 
     recurse([list(row) for row in c], [[0] * l for _ in cols], 0)
     return found
+
+
+def expanding_solve(p) -> list:
+    """The canonical row sequences of ``blocksmith.gram.solve(p)``, in its
+    order, as they were computed before solutions were built per sign
+    class: every sign expansion of every representative sequence (and every
+    sequence of a pinned search) is canonicalized under every column-sign
+    pattern S with S C S = C and the allowed row permutations, and the
+    distinct forms are sorted by (row count, repr).
+
+    Uses the package's row pool, kernel and row bound; the expansion,
+    zero-row padding, canonical form and dedupe are the replaced code."""
+    from blocksmith import _kernel
+    from blocksmith.gram import _row_pool, row_quad
+    from blocksmith.intmat import adjugate_and_det
+
+    p.validate()
+    c = p.target_gram
+    l = c.col_count
+    zero = (0,) * l
+    if p.signed:
+        patterns = [
+            s for s in itertools.product((1, -1), repeat=l)
+            if all(s[i] * s[j] * c.rows[i][j] == c.rows[i][j]
+                   for i in range(l) for j in range(l))
+        ]
+    else:
+        patterns = [(1,) * l]
+    pool = _row_pool(c, p.signed)
+
+    if p.pinned:
+        k = p.pinned_row_count()
+        keys: dict = {}
+        for i in range(k):
+            key = (
+                tuple(b.rows[i] for b in p.fixed_blocks),
+                None if p.diag_constraints is None else p.diag_constraints[i],
+                i in p.zero_rows,
+            )
+            keys.setdefault(key, []).append(i)
+        groups = list(keys.values())
+        if not p.require_nonzero_rows:
+            pool = sorted(pool + [zero], reverse=True)
+        adj, d = adjugate_and_det(c)
+        slots = [None] * k
+        for g in groups:
+            opts = [zero] if g[0] in p.zero_rows else list(pool)
+            if p.diag_constraints is not None:
+                want = p.diag_constraints[g[0]] * d
+                opts = [r for r in opts if row_quad(r, adj) * p.defect_order == want]
+            for i in g:
+                slots[i] = opts
+        cols = [
+            tuple(b.rows[i][u] for i in range(k))
+            for b in p.fixed_blocks
+            for u in range(b.col_count)
+        ]
+        raw = _kernel.search_rows(c.to_lists(), slots, k, cols)
+    else:
+        if p.signed:
+            pool = [r for r in pool if next(x for x in r if x) > 0]
+        trace = c.trace()
+        if p.row_count is None:
+            lo, hi = 1, trace
+        elif isinstance(p.row_count, tuple):
+            lo, hi = p.row_count
+        else:
+            lo = hi = p.row_count
+        pad = not p.require_nonzero_rows and p.row_count is not None
+        found = _kernel.search_rows(
+            c.to_lists(), [pool] * min(hi, trace), 1 if pad else lo
+        )
+        if p.signed:
+            expanded = []
+            for rows in found:
+                runs = []
+                for r, run in itertools.groupby(rows):
+                    m = len(list(run))
+                    neg = tuple(-x for x in r)
+                    runs.append([(r,) * (m - j) + (neg,) * j for j in range(m + 1)])
+                for pick in itertools.product(*runs):
+                    expanded.append(
+                        tuple(sorted(itertools.chain.from_iterable(pick), reverse=True))
+                    )
+            found = expanded
+        if pad:
+            found = [
+                rows + (zero,) * (k - len(rows))
+                for rows in found
+                for k in range(max(len(rows), lo), hi + 1)
+            ]
+        raw = found
+
+    def canonical(rows):
+        row_groups = groups if p.pinned else [list(range(len(rows)))]
+        best = None
+        for pat in patterns:
+            signed_rows = [tuple(s * x for s, x in zip(pat, r)) for r in rows]
+            arranged = list(signed_rows)
+            for g in row_groups:
+                block = sorted((signed_rows[i] for i in g), reverse=True)
+                for slot, row in zip(g, block):
+                    arranged[slot] = row
+            if best is None or tuple(arranged) > best:
+                best = tuple(arranged)
+        return best
+
+    seen = {canonical(rows): True for rows in raw}
+    return sorted(seen, key=lambda rows: (len(rows), repr(rows)))
 
 
 # ---------------------------------------- orthogonal column brute force

@@ -303,6 +303,41 @@ def test_verify_solution_rejects_wrong_answers():
         q=M([[2, 1], [1, 0], [0, 1], [0, 1], [0, 1], [0, 0]]), canonical_key=b""
     )
     assert not verify_solution(p, zero_row)
+    # the Gram matrix is right, but row (1, 2) has r.adj(C).r^t = det C = 16
+    saturated = GramSolution(q=M([[2, 0], [1, 2]]), canonical_key=b"")
+    assert saturated.q.transpose().matmul(saturated.q) == c
+    assert not verify_solution(p, saturated)
+    # row counts: exact, and a window
+    assert verify_solution(GramProblem(target_gram=c, row_count=5), good)
+    assert not verify_solution(GramProblem(target_gram=c, row_count=7), good)
+    assert verify_solution(GramProblem(target_gram=c, row_count=(4, 6)), good)
+    assert not verify_solution(GramProblem(target_gram=c, row_count=(6, 9)), good)
+    # a forced zero row that is not zero
+    padded = GramSolution(q=M(list(good.q.rows) + [[0, 0]]), canonical_key=b"")
+
+    def pinned(**kw):
+        return GramProblem(
+            target_gram=c, row_count=6, require_nonzero_rows=False, **kw
+        )
+
+    assert verify_solution(pinned(zero_rows=frozenset({5})), padded)
+    assert not verify_solution(pinned(zero_rows=frozenset({0})), padded)
+    # a fixed block B with B^t Q != 0
+    assert good.q.rows == ((2, 1), (1, 0), (0, 1), (0, 1), (0, 1))
+
+    def fixed(col):
+        return GramProblem(target_gram=c, fixed_blocks=(M([[x] for x in col]),))
+
+    assert verify_solution(fixed([0, 0, 1, -1, 0]), good)
+    assert not verify_solution(fixed([0, 0, 1, 0, 0]), good)
+    # a diagonal constraint that the rows do not meet
+    def diag(values):
+        return GramProblem(
+            target_gram=c, row_count=5, diag_constraints=values, defect_order=16
+        )
+
+    assert verify_solution(diag((13, 4, 5, 5, 5)), good)
+    assert not verify_solution(diag((13, 5, 4, 5, 5)), good)
 
 
 def test_input_validation():

@@ -23,6 +23,8 @@ from blocksmith.intmat import (
     smith_normal_form,
 )
 
+from blocksmith.casebook import _rule_from_obj
+
 from conftest import (
     all_permutations_canonical_form,
     fraction_definiteness,
@@ -46,6 +48,58 @@ def test_construction_rejects_bad_input():
         IntMatrix(((1.5,),))
     with pytest.raises(MatrixError):
         IntMatrix(((True,),))
+
+
+@pytest.mark.parametrize("bad", [4.5, True, "4", None])
+def test_every_outside_path_checks_each_entry(bad):
+    rows = [[5, 2], [2, bad]]
+    with pytest.raises(MatrixError, match="non-integer entry"):
+        IntMatrix(((5, 2), (2, bad)))
+    with pytest.raises(MatrixError, match="non-integer entry"):
+        IntMatrix.from_rows(rows)
+    with pytest.raises(MatrixError, match="non-integer entry"):
+        matrix_from_obj(rows)
+    with pytest.raises(MatrixError, match="non-integer entry"):
+        matrix_from_obj({"rows": rows})
+    with pytest.raises(MatrixError, match="non-integer entry"):
+        _rule_from_obj(
+            {"id": "r", "candidate": rows, "kind": "solver_run", "params": {}}
+        )
+
+
+def test_scale_checks_its_factor():
+    m = IntMatrix.from_rows([[5, 2], [2, 4]])
+    for bad in (4.5, "4", None):
+        with pytest.raises(MatrixError, match="non-integer scale"):
+            m.scale(bad)
+
+
+def test_derived_matrices_equal_checked_constructions(rng):
+    """Products, transposes, scalings, adjugates and canonical forms skip
+    the entry check; each equals, and hashes like, the checked construction
+    of the same entries, and holds plain ints."""
+    for _ in range(50):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = random_matrix(rng, n, k), random_matrix(rng, k, m)
+        sym = IntMatrix.from_rows(
+            [[a.rows[min(i, j) % n][max(i, j) % k] for j in range(n)] for i in range(n)]
+        )
+        derived = [
+            (a.matmul(b), [
+                [sum(a.rows[i][t] * b.rows[t][j] for t in range(k)) for j in range(m)]
+                for i in range(n)
+            ]),
+            (a.transpose(), [[a.rows[i][j] for i in range(n)] for j in range(k)]),
+            (a.scale(-3), [[-3 * x for x in row] for row in a.rows]),
+            (adjugate(sym), None),
+            (canonical_perm_form(sym), None),
+        ]
+        for got, want in derived:
+            checked = IntMatrix.from_rows(got.rows if want is None else want)
+            assert got == checked and hash(got) == hash(checked)
+            assert type(got.rows) is tuple
+            assert all(type(row) is tuple for row in got.rows)
+            assert all(type(x) is int for row in got.rows for x in row)
 
 
 def test_matrix_is_hashable_and_frozen():
