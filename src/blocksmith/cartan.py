@@ -6,13 +6,22 @@ with nonnegative entries, diagonal at least 2 when l >= 2, and every
 off-diagonal entry bounded by both diagonal entries meeting it. The entry
 sum equals the dimension of the basic algebra. Candidates are reported in
 canonical permutation form, so each symmetry class appears once.
+
+The enumerator builds few labelled matrices that a screen would reject. It
+fixes a nonincreasing diagonal, then the off-diagonal row sums (each at
+least 1, nonincreasing within a block of equal diagonal entries), then fills
+the upper triangle row by row under the entry caps min(d_i, d_j) and
+a_ij^2 < d_i d_j, and drops a partial matrix as soon as a leading principal
+block fails to be positive definite. Each of these is a necessary condition
+on some member of every class (see ``enumerate_cartan``), so no class is
+lost; connectivity and the canonical form finish the job.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
+from math import isqrt
 
 from .intmat import (
     IntMatrix,
@@ -107,6 +116,27 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
     """All candidates of size l with entry sum n, one per symmetry class.
 
     Deterministic order: canonical matrices sorted by their rows.
+
+    For l >= 2 the labelled matrices are generated under necessary
+    conditions only, so every class keeps a representative:
+
+    - the diagonal is nonincreasing (``_diagonals``), since a permutation
+      can sort it;
+    - the off-diagonal row sums are at least 1, since a connected matrix
+      has no isolated index, at most what the entry caps below allow in
+      their row, and (diagonal, row sum) is lexicographically
+      nonincreasing, since a permutation within a block of equal diagonal
+      entries can sort the row sums (``_row_sums``);
+    - each off-diagonal entry a_ij is at most min(d_i, d_j), by the model,
+      and satisfies a_ij^2 < d_i d_j, because the 2x2 principal minor of a
+      positive definite matrix is positive (``_entry_cap``);
+    - every leading principal block is positive definite, since the
+      leading blocks of a positive definite matrix are; the last block is
+      the matrix itself, so this is also the full definiteness test
+      (``_labelled_matrices``).
+
+    Connectivity is tested on each generated matrix, and the canonical form
+    removes the duplicates that remain within each class.
     """
     if n < 1:
         raise CartanEnumError("entry sum must be positive")
@@ -122,32 +152,23 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
     if n < min_sum_for_l(l):
         return []
 
-    pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
     seen: set[IntMatrix] = set()
     out: list[CartanCandidate] = []
-
-    # non-increasing diagonals kill most permutation duplicates up front
     for diag in _diagonals(l, n):
-        off_budget, rem = divmod(n - sum(diag), 2)
-        if rem:
+        margin = n - sum(diag)
+        if margin % 2:
             continue
-        for off in _off_diagonals(pairs, diag, off_budget):
-            rows = [[0] * l for _ in range(l)]
-            for i in range(l):
-                rows[i][i] = diag[i]
-            for (i, j), v in zip(pairs, off):
-                rows[i][j] = v
-                rows[j][i] = v
-            # screened as plain lists; only a survivor becomes an IntMatrix
-            if not is_connected(rows):
-                continue
-            if psd_rank([row[:] for row in rows]) != l:
-                continue
-            canon = canonical_perm_form(IntMatrix.from_rows(rows))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(_candidate(canon, n))
+        caps = [[_entry_cap(a, b) for b in diag] for a in diag]
+        for sums in _row_sums(diag, caps, margin):
+            for rows in _labelled_matrices(diag, caps, sums):
+                # screened as plain lists; only a survivor becomes an IntMatrix
+                if not is_connected(rows):
+                    continue
+                canon = canonical_perm_form(IntMatrix.from_rows(rows))
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                out.append(_candidate(canon, n))
     out.sort(key=lambda c: c.matrix.rows)
     return out
 
@@ -168,23 +189,82 @@ def _diagonals(l: int, n: int):
     yield from rec([], n, n)
 
 
-def _off_diagonals(pairs, diag, budget: int):
-    """Assignments to the upper triangle summing to the budget, each entry
-    within the min of its two diagonal entries."""
+def _entry_cap(a: int, b: int) -> int:
+    """Largest off-diagonal entry x meeting diagonal entries a and b:
+    x <= min(a, b) and x^2 < a * b."""
+    return min(a, b, isqrt(a * b - 1))
 
-    def rec(idx: int, left: int, acc: list[int]):
-        if idx == len(pairs):
+
+def _row_sums(diag, caps, margin: int):
+    """Off-diagonal row sums s_i >= 1 with sum ``margin``, each reachable
+    under the entry caps, nonincreasing within each block of equal
+    diagonal entries."""
+    l = len(diag)
+    reach = [sum(row) - row[i] for i, row in enumerate(caps)]
+    # suffix[i]: the most that rows i.. can take together
+    suffix = [0] * (l + 1)
+    for i in range(l - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + reach[i]
+
+    def rec(i: int, left: int, prefix: list[int]):
+        if i == l:
             if left == 0:
-                yield tuple(acc)
+                yield tuple(prefix)
             return
-        i, j = pairs[idx]
-        cap = min(diag[i], diag[j], left)
-        for v in range(cap + 1):
-            acc.append(v)
-            yield from rec(idx + 1, left - v, acc)
-            acc.pop()
+        hi = min(reach[i], left - (l - 1 - i))
+        if i and diag[i] == diag[i - 1]:
+            hi = min(hi, prefix[-1])
+        for s in range(hi, max(1, left - suffix[i + 1]) - 1, -1):
+            prefix.append(s)
+            yield from rec(i + 1, left - s, prefix)
+            prefix.pop()
 
-    yield from rec(0, budget, [])
+    yield from rec(0, margin, [])
+
+
+def _labelled_matrices(diag, caps, sums):
+    """Symmetric matrices with diagonal ``diag``, off-diagonal row sums
+    ``sums`` and entries within ``caps``, whose leading blocks are all
+    positive definite.
+
+    The upper triangle is filled row by row; the last entry of a row is
+    forced by its row sum. Once row i is complete the leading
+    (i + 2) x (i + 2) block is known and tested (the 2 x 2 one is positive
+    definite by the caps). The yielded rows are reused; copy to keep them.
+    """
+    l = len(diag)
+    rows = [[0] * l for _ in range(l)]
+    for i, d in enumerate(diag):
+        rows[i][i] = d
+    rem = list(sums)
+
+    def put(i: int, j: int, v: int) -> None:
+        """Set a_ij = a_ji = v, keeping ``rem`` the unfilled row sums."""
+        delta = v - rows[i][j]
+        rows[i][j] = rows[j][i] = v
+        rem[i] -= delta
+        rem[j] -= delta
+
+    def fill(i: int, j: int):
+        if j == l - 1:
+            v = rem[i]
+            if v > caps[i][j] or v > rem[j]:
+                return
+            put(i, j, v)
+            k = i + 2
+            if k == l:
+                if rem[j] == 0 and psd_rank([row[:] for row in rows]) == l:
+                    yield rows
+            elif k == 2 or psd_rank([row[:k] for row in rows[:k]]) == k:
+                yield from fill(i + 1, k)
+            put(i, j, 0)
+            return
+        for v in range(min(caps[i][j], rem[i], rem[j]) + 1):
+            put(i, j, v)
+            yield from fill(i, j + 1)
+        put(i, j, 0)
+
+    yield from fill(0, 1)
 
 
 def is_prime(n: int) -> bool:

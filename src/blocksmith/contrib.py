@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .cartan import is_prime
 from .intmat import (
     IntMatrix,
     InvariantError,
@@ -92,10 +93,11 @@ def heights_from_contribution(
     An entry coprime to p means height zero. Entries divisible by p are
     assigned height v_p(entry) / 2; the even-valuation requirement is a
     working hypothesis checked here, not a theorem, so odd valuations and
-    zero entries are rejected loudly rather than guessed at.
+    zero entries are rejected loudly rather than guessed at. p must be a
+    prime: a valuation at a composite base is no height.
     """
-    if p < 2:
-        raise ContributionError(f"p must be at least 2, got {p}")
+    if not is_prime(p):
+        raise ContributionError(f"p must be a prime, got {p}")
     mat = m.matrix if isinstance(m, ContributionResult) else m
     heights = []
     for i, x in enumerate(mat.diagonal_entries()):

@@ -7,10 +7,11 @@ decompositions, Prüfer-sequence tree enumeration with brute-force
 isomorphism, Cayley-table conjugacy counting, and brute-force listers of
 pinned Gram decompositions and of orthogonal columns. Agreement between
 these and the library is the point of the tests, so none of them may call
-back into blocksmith. The three exceptions are
-``multiplicity_search_classify``, ``unpruned_search_rows`` and
-``expanding_solve``, reference copies of replaced algorithms that pin the
-output of their successors, not the primitives they share with them.
+back into blocksmith. The four exceptions are
+``labelled_enumeration``, ``multiplicity_search_classify``,
+``unpruned_search_rows`` and ``expanding_solve``, reference copies of
+replaced algorithms that pin the output of their successors, not the
+primitives they share with them.
 """
 
 from __future__ import annotations
@@ -95,6 +96,55 @@ def graph_cartan(n: int, edges) -> list:
     for i, j in edges:
         rows[i][j] = rows[j][i] = 1
     return rows
+
+
+def labelled_enumeration(n: int, l: int) -> list:
+    """The canonical forms of ``blocksmith.cartan.enumerate_cartan(n, l)``,
+    in its order, as they were computed before the row-sum generator: every
+    nonincreasing diagonal of entries >= 2 times every upper triangle summing
+    to the off-diagonal budget with each entry at most the smaller of its
+    two diagonal entries, screened for connectivity and definiteness, then
+    canonicalized, deduplicated and sorted.
+
+    Uses the package's screens and canonical form; the generator is the
+    replaced code."""
+    from blocksmith.intmat import IntMatrix, canonical_perm_form, is_connected, psd_rank
+
+    if l == 1:
+        return [((n,),)]
+    pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
+
+    def diagonals(prefix, remaining, cap):
+        slots = l - len(prefix)
+        if slots == 0:
+            yield tuple(prefix)
+            return
+        for d in range(min(cap, remaining - 2 * (slots - 1)), 1, -1):
+            yield from diagonals(prefix + [d], remaining - d, d)
+
+    def off_diagonals(diag, idx, left, acc):
+        if idx == len(pairs):
+            if left == 0:
+                yield acc
+            return
+        i, j = pairs[idx]
+        for v in range(min(diag[i], diag[j], left) + 1):
+            yield from off_diagonals(diag, idx + 1, left - v, acc + [v])
+
+    seen = set()
+    for diag in diagonals([], n, n):
+        budget, odd = divmod(n - sum(diag), 2)
+        if odd:
+            continue
+        for off in off_diagonals(diag, 0, budget, []):
+            rows = [[0] * l for _ in range(l)]
+            for i in range(l):
+                rows[i][i] = diag[i]
+            for (i, j), v in zip(pairs, off):
+                rows[i][j] = rows[j][i] = v
+            if is_connected(rows) and psd_rank([r[:] for r in rows]) == l:
+                seen.add(canonical_perm_form(IntMatrix.from_rows(rows)).rows)
+    return sorted(seen)
 
 
 # ---------------------------------------------------- 2x2 Gram brute force

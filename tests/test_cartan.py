@@ -2,8 +2,10 @@
 arithmetic feasibility screens."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from blocksmith import IntMatrix, cartan
 from blocksmith.cartan import (
@@ -23,6 +25,7 @@ from conftest import (
     all_permutations_canonical_form,
     fraction_definiteness,
     graph_cartan,
+    labelled_enumeration,
 )
 
 
@@ -110,6 +113,53 @@ def test_enumeration_equals_all_permutations_canonical_form(monkeypatch):
         assert objs == [c.to_obj() for c in enumerate_cartan(n, l)], (n, l)
 
 
+def test_enumeration_equals_labelled_enumeration(monkeypatch):
+    """Every (entry sum <= 22, size) gives the same candidates, in the same
+    order, as screening every labelled matrix with a nonincreasing diagonal,
+    so the row-sum and leading-block prunes lose no class."""
+    monkeypatch.setenv("BLOCKSMITH_MAX_SUM", "22")
+    for n in range(1, 23):
+        for l in range(1, 7):  # from l = 7 on, the smallest entry sum 4l - 2 exceeds 22
+            got = [c.matrix.rows for c in enumerate_cartan(n, l)]
+            assert got == labelled_enumeration(n, l), (n, l)
+
+
+@lru_cache(maxsize=None)
+def enumerated_forms(n, l):
+    return frozenset(c.matrix.rows for c in enumerate_cartan(n, l))
+
+
+@given(st.data())
+def test_every_drawn_candidate_is_enumerated(data):
+    """A connected positive definite matrix of the model with entry sum at
+    most 20, drawn entry by entry, has its canonical form among the
+    enumerated candidates. Each index i >= 1 draws a neighbour below it, so
+    every draw is connected, and every class is reached (label the indices
+    in breadth-first order); each draw is bounded by what is left of the
+    sum after the edges still owed."""
+    l = data.draw(st.integers(2, 5))
+    left = 20 - 2 * (l - 1)  # two per edge of the spanning tree
+    diag = []
+    for i in range(l):
+        d = data.draw(st.integers(2, min(6, left - 2 * (l - 1 - i))))
+        diag.append(d)
+        left -= d
+    rows = [[0] * l for _ in range(l)]
+    for i in range(l):
+        rows[i][i] = diag[i]
+        tree = data.draw(st.integers(0, i - 1)) if i else None
+        for j in range(i):
+            lo = int(j == tree)
+            left += 2 * lo
+            a = data.draw(st.integers(lo, min(diag[i], diag[j], left // 2)))
+            rows[i][j] = rows[j][i] = a
+            left -= 2 * a
+    if fraction_definiteness(rows) != "pd":
+        return
+    n = sum(map(sum, rows))
+    assert canonical_perm_form(IntMatrix.from_rows(rows)).rows in enumerated_forms(n, l)
+
+
 def simply_laced_dynkin(l):
     """Edge lists of A_l, of D_l (l >= 4) and of E_l (l = 6, 7, 8)."""
     path = [(i, i + 1) for i in range(l - 1)]
@@ -126,8 +176,8 @@ def test_minimal_sum_candidates_are_simply_laced_dynkin(monkeypatch):
     matrix of a tree, and positive definiteness leaves exactly the
     simply-laced Dynkin diagrams. The expected forms come from the
     all-permutations oracle."""
-    monkeypatch.setenv("BLOCKSMITH_MAX_SUM", "26")
-    for l, count in zip(range(2, 8), (1, 1, 2, 2, 3, 3)):
+    monkeypatch.setenv("BLOCKSMITH_MAX_SUM", "30")
+    for l, count in zip(range(2, 9), (1, 1, 2, 2, 3, 3, 3)):
         expected = sorted(
             all_permutations_canonical_form(graph_cartan(l, edges))
             for edges in simply_laced_dynkin(l)

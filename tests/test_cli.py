@@ -294,6 +294,19 @@ def test_contribution_and_heights(capsys):
     assert code == EXIT_INVALID  # non-integral contribution
 
 
+def test_composite_p_is_invalid_input(capsys):
+    code, env = run_json(capsys, "heights", "--diag", "1,2", "--p", "4")
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert "p must be a prime, got 4" in env["payload"]["error"]
+
+    args = ["contribution", "--q", "[[1],[1]]", "--c", "[[2]]", "--defect-order", "2"]
+    code, env = run_json(capsys, *args, "--p", "2")
+    assert code == EXIT_OK and env["payload"]["heights"] == [0, 0]
+    code, env = run_json(capsys, *args, "--p", "4")
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert "p must be a prime, got 4" in env["payload"]["error"]
+
+
 def test_brauer_trees_cli(capsys):
     code, env = run_json(capsys, "brauer-trees", "--dim", "13")
     assert code == EXIT_OK

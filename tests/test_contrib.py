@@ -76,6 +76,15 @@ def test_heights_error_cases():
         heights_from_contribution(IntMatrix.diagonal([4]), 1)
 
 
+@pytest.mark.parametrize("p", [4, 6, 9, 15])
+def test_heights_reject_composite_p(p):
+    # base-4 valuations would read heights (0, 1) off this diagonal
+    with pytest.raises(ContributionError, match="prime"):
+        heights_from_contribution(IntMatrix.diagonal([1, 16]), p)
+    with pytest.raises(ContributionError, match="prime"):
+        heights_from_contribution(contribution_matrix(Q5, C54, 16), p)
+
+
 def test_complement_diag_flat():
     assert complement_diag((16, 4, 4, 7, 7, 7, 9), 27) == (11, 23, 23, 20, 20, 20, 18)
     assert complement_diag((13, 5, 5, 5, 4), 16) == (3, 11, 11, 11, 12)
