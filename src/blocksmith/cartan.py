@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from .intmat import (
     IntMatrix,
     canonical_perm_form,
-    det,
     elementary_divisors,
     is_connected,
     psd_rank,
@@ -103,12 +102,10 @@ def min_sum_for_l(l: int) -> int:
 
 
 def _candidate(m: IntMatrix, n: int) -> CartanCandidate:
+    # m is positive definite, so det m > 0 is the product of its Smith diagonal
+    divisors = elementary_divisors(m)
     return CartanCandidate(
-        matrix=m,
-        entry_sum=n,
-        l=m.row_count,
-        det=det(m),
-        divisors=tuple(elementary_divisors(m)),
+        matrix=m, entry_sum=n, l=m.row_count, det=prod(divisors), divisors=divisors
     )
 
 

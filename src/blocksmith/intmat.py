@@ -2,6 +2,11 @@
 indecomposability, scaled inverses, and a canonical form under simultaneous
 row/column permutation.
 
+The determinant and the adjugate come together from one Faddeev-LeVerrier
+recurrence (``adjugate_and_det``): n integer matrix products, exact integer
+divisions and no pivoting. Definiteness is read off the one fraction-free
+(Bareiss) elimination, ``psd_rank``.
+
 The canonical form is the row-major lexicographically largest conjugate
 among the permutations that keep the diagonal nonincreasing. It is built
 one row at a time: each row is made as large as it can be given the rows
@@ -35,7 +40,7 @@ class IntMatrix:
     """Immutable integer matrix, row-major.
 
     Every construction from outside data checks each entry. Products,
-    transposes, scalings, minors, conjugates and the Gram search's rows
+    transposes, scalings, adjugates, conjugates and the Gram search's rows
     hold ints by construction and go through ``_unchecked`` instead.
     """
 
@@ -147,33 +152,6 @@ def matrix_from_obj(obj: object) -> IntMatrix:
     if not all(isinstance(row, list) for row in obj):
         raise MatrixError("each matrix row must be a list")
     return IntMatrix.from_rows(obj)
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if not m.is_square:
-        raise MatrixError("determinant of a non-square matrix")
-    n = m.row_count
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by construction: every entry is a minor of m
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -358,35 +336,50 @@ def is_connected(rows: Sequence[Sequence[int]]) -> bool:
     return len(seen) == n
 
 
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: adj(m) * m = det(m) * I."""
-    if not m.is_square:
-        raise MatrixError("adjugate of a non-square matrix")
-    n = m.row_count
-    if n == 1:
-        return IntMatrix.from_rows([[1]])
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix._unchecked(
-                tuple(
-                    tuple(m.rows[r][c] for c in range(n) if c != i)
-                    for r in range(n)
-                    if r != j
-                )
-            )
-            row.append((-1) ** (i + j) * det(minor))
-        rows.append(tuple(row))
-    return IntMatrix._unchecked(tuple(rows))
-
-
 @lru_cache(maxsize=32)
 def adjugate_and_det(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """adj(m) and det m, computed once per matrix and shared by the row
-    pool, the pinned search, every ``verify_solution`` call and every
-    contribution matrix of one target."""
-    return adjugate(m), det(m)
+    """adj(m) and det m of a square matrix, computed once per matrix and
+    shared by the row pool, the pinned search, every ``verify_solution``
+    call and every contribution matrix of one target.
+
+    Faddeev-LeVerrier recurrence: M_1 = I and, for k = 1..n,
+    c_k = -tr(m M_k) / k and M_{k+1} = m M_k + c_k I. The c_k are the
+    coefficients of det(x I - m) = x^n + c_1 x^{n-1} + ... + c_n, so
+    det m = (-1)^n c_n and adj m = (-1)^{n-1} M_n. It takes n integer
+    products, no pivoting and no special case for a singular matrix.
+    """
+    if not m.is_square:
+        raise MatrixError("determinant and adjugate need a square matrix")
+    n = m.row_count
+    cols = tuple(zip(*m.rows))
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        # M_k is a polynomial in m, so M_k m = m M_k
+        prod = [[sum(map(mul, row, col)) for col in cols] for row in mk]
+        # exact: M_k = m^{k-1} + c_1 m^{k-2} + ... + c_{k-1} I, so
+        # tr(m M_k) = p_k + c_1 p_{k-1} + ... + c_{k-1} p_1 with p_j = tr(m^j),
+        # which Newton's identities equate to -k c_k, and c_k is an integer
+        # coefficient of the characteristic polynomial of an integer matrix
+        c, rest = divmod(-sum(prod[i][i] for i in range(n)), k)
+        if rest:
+            raise InvariantError(f"internal: tr(m M_{k}) not divisible by {k}")
+        if k < n:
+            for i in range(n):
+                prod[i][i] += c
+            mk = prod
+    sign = (-1) ** (n - 1)
+    adj = IntMatrix._unchecked(tuple(tuple(sign * x for x in row) for row in mk))
+    return adj, -sign * c
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant, see ``adjugate_and_det``."""
+    return adjugate_and_det(m)[1]
+
+
+def adjugate(m: IntMatrix) -> IntMatrix:
+    """Adjugate matrix: adj(m) * m = det(m) * I, see ``adjugate_and_det``."""
+    return adjugate_and_det(m)[0]
 
 
 @dataclass(frozen=True)
@@ -407,12 +400,12 @@ class ScaledInverse:
 
 def scaled_inverse(m: IntMatrix, s: int) -> ScaledInverse:
     """Exact s * m^{-1} via the adjugate, with the common denominator reduced."""
-    d = det(m)
+    adj, d = adjugate_and_det(m)
     if d == 0:
         raise MatrixError("singular matrix has no inverse")
     if s <= 0:
         raise MatrixError("scale must be positive")
-    num = adjugate(m).scale(s)
+    num = adj.scale(s)
     g = math.gcd(d, *(x for row in num.rows for x in row))
     num = IntMatrix(tuple(tuple(x // g for x in row) for row in num.rows))
     denom = d // g

@@ -51,6 +51,17 @@ def naive_det(rows) -> int:
     return total
 
 
+def naive_adjugate(rows) -> list:
+    """Cofactor expansion, adj[i][j] = (-1)^(i+j) det(rows without row j and
+    column i), each minor by ``naive_det``; adj of a 1x1 matrix is [[1]]."""
+    n = len(rows)
+
+    def minor(j, i):
+        return [[row[c] for c in range(n) if c != i] for r, row in enumerate(rows) if r != j]
+
+    return [[(-1) ** (i + j) * naive_det(minor(j, i)) for j in range(n)] for i in range(n)]
+
+
 def fraction_definiteness(rows) -> str:
     """'pd', 'psd', or 'indefinite' via exact Gaussian pivots."""
     n = len(rows)

@@ -29,6 +29,7 @@ from conftest import (
     all_permutations_canonical_form,
     fraction_definiteness,
     graph_cartan,
+    naive_adjugate,
     naive_det,
 )
 
@@ -138,6 +139,30 @@ def test_adjugate_identity(rng):
         d = det(m)
         assert m.matmul(adjugate(m)) == IntMatrix.identity(n).scale(d)
         assert adjugate(m).matmul(m) == IntMatrix.identity(n).scale(d)
+
+
+def test_adjugate_and_det_match_cofactor_expansion(rng):
+    """adj and det against the cofactor and permutation expansions on
+    products B C of an n x r and an r x n matrix, r = n, n - 1, n - 2. Every
+    rank class is met: rank n (det != 0), rank n - 1 (det = 0, adj of rank
+    one) and rank <= n - 2 (adj = 0). ``test_adjugate_identity`` cannot
+    tell these apart on a singular matrix, where m adj(m) = 0 = det(m) I."""
+    for x in (0, 7, -3):
+        assert adjugate(IntMatrix.from_rows([[x]])) == IntMatrix.from_rows([[1]])
+        assert det(IntMatrix.from_rows([[x]])) == x
+    for n in range(1, 7):
+        seen = set()
+        for r in range(max(n - 2, 0), n + 1):
+            for _ in range(10):
+                b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+                c = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+                rows = [[sum(row[t] * c[t][j] for t in range(r)) for j in range(n)] for row in b]
+                m = IntMatrix.from_rows(rows)
+                want_adj, want_det = naive_adjugate(rows), naive_det(rows)
+                assert adjugate(m).to_lists() == want_adj
+                assert det(m) == want_det
+                seen.add("n" if want_det else "n-1" if any(map(any, want_adj)) else "<=n-2")
+        assert seen == ({"n", "n-1"} if n == 1 else {"n", "n-1", "<=n-2"})
 
 
 def test_smith_normal_form_known_values():
