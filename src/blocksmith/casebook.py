@@ -17,6 +17,7 @@ from importlib import resources
 from types import GenericAlias
 from typing import Any, Sequence
 
+from . import brauer
 from .brauer import classify_defect1
 from .cartan import (
     CartanCandidate,
@@ -553,6 +554,13 @@ def run_dimension(
         if not feas.feasible:
             verdict = "infeasible"
         elif feas.defect_order == feas.p:
+            # a missing match excludes the candidate only if trees with l
+            # edges were enumerated
+            if cand.l > brauer.EDGE_BOUND:
+                raise CasebookError(
+                    f"candidate {cand.matrix.to_lists()} needs trees with {cand.l} "
+                    f"edges, beyond the bound {brauer.EDGE_BOUND}"
+                )
             match = tree_matches.get(cand.matrix)
             outcome: dict = {"matched": match is not None}
             if match is not None:

@@ -5,7 +5,10 @@ row/column permutation.
 The determinant and the adjugate come together from one Faddeev-LeVerrier
 recurrence (``adjugate_and_det``): n integer matrix products, exact integer
 divisions and no pivoting. Definiteness is read off the one fraction-free
-(Bareiss) elimination, ``psd_rank``.
+(Bareiss) elimination, ``psd_rank``. The Smith normal form comes from one
+elimination, ``_smith``: ``elementary_divisors`` runs it on a bare copy of
+the rows, and ``smith_normal_form`` on the block array [[m, I], [I, 0]],
+whose identity blocks collect the left and right transforms.
 
 The canonical form is the row-major lexicographically largest conjugate
 among the permutations that keep the diagonal nonincreasing. It is built
@@ -171,100 +174,77 @@ class SnfResult:
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Smith normal form with transform accumulation.
+    """Smith normal form with unimodular transforms, left * m * right = diag.
 
-    The diagonal is non-negative and satisfies d_i | d_{i+1}; the transforms
-    are unimodular and reconstruct the diagonal exactly.
+    ``_smith`` runs on the block array [[m, I], [I, 0]]. A row operation is
+    a left product by a unimodular E and takes [m, L] to [E m, E L]; a
+    column operation is a right product by a unimodular F and takes
+    [[m], [R]] to [[m F], [R F]]. So from L = R = I the block right of m
+    ends as the left transform and the block below m as the right one.
     """
-    a = [list(row) for row in m.rows]
-    n_rows, n_cols = m.row_count, m.col_count
-    left = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
-    right = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
-
-    def row_op(i, j, q):
-        # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
-
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in right:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    t = 0
-    while t < min(n_rows, n_cols):
-        # move a nonzero pivot of minimal magnitude to (t, t)
-        candidates = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, n_rows)
-            for j in range(t, n_cols)
-            if a[i][j] != 0
-        ]
-        if not candidates:
-            break
-        _, pi, pj = min(candidates)
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        dirty = False
-        for i in range(t + 1, n_rows):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                row_op(i, t, q)
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n_cols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                col_op(j, t, q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide every remaining entry for the divisibility chain
-        offender = None
-        for i in range(t + 1, n_rows):
-            for j in range(t + 1, n_cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    diagonal = tuple(a[i][i] for i in range(min(n_rows, n_cols)))
+    n, k = m.row_count, m.col_count
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m.rows)]
+    a += [[int(i == j) for j in range(k)] + [0] * n for i in range(k)]
+    diagonal = _smith(a, n, k)
     return SnfResult(
         diagonal=diagonal,
-        left_transform=IntMatrix.from_rows(left),
-        right_transform=IntMatrix.from_rows(right),
+        left_transform=IntMatrix._unchecked(tuple(tuple(row[k:]) for row in a[:n])),
+        right_transform=IntMatrix._unchecked(tuple(tuple(row[:k]) for row in a[n:])),
     )
 
 
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith normal form."""
-    return tuple(d for d in smith_normal_form(m).diagonal if d != 0)
+    """Nonzero Smith diagonal: ``_smith`` on a bare copy of the rows, so no
+    transform is built."""
+    diagonal = _smith([list(row) for row in m.rows], m.row_count, m.col_count)
+    return tuple(d for d in diagonal if d)
+
+
+def _smith(a: list[list[int]], n: int, k: int) -> tuple[int, ...]:
+    """Reduce the leading n x k block of the list array ``a`` in place and
+    return its diagonal: nonnegative, each entry dividing the next.
+
+    Step t swaps the nonzero entry of least (|a_ij|, i, j) in the block from
+    (t, t) on to (t, t) and clears row t and column t by floor division.
+    If a remainder is left, or some later row has an entry the pivot does
+    not divide (the first such row is then added to row t), the step starts
+    again with a smaller pivot; otherwise a negative pivot row is negated.
+    Row operations act on whole rows below n and column operations on whole
+    columns below k, so what ``a`` holds right of and below the block
+    records them.
+    """
+    t = 0
+    while t < min(n, k):
+        nonzero = [(abs(x), i, j) for i in range(t, n) for j, x in enumerate(a[i][t:k], t) if x]
+        if not nonzero:
+            break
+        _, pi, pj = min(nonzero)
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        top = a[t]
+        p = top[t]
+        for i in range(t + 1, n):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+        for j in range(t + 1, k):
+            q = top[j] // p
+            if q:
+                for row in a:
+                    row[j] -= q * row[t]
+        if any(top[t + 1 : k]) or any(a[i][t] for i in range(t + 1, n)):
+            continue
+        for i in range(t + 1, n):
+            if any(x % p for x in a[i][t + 1 : k]):
+                a[t] = [x + y for x, y in zip(top, a[i])]
+                break
+        else:
+            if p < 0:
+                a[t] = [-x for x in top]
+            t += 1
+    return tuple(a[i][i] for i in range(min(n, k)))
 
 
 def _require_symmetric(m: IntMatrix) -> None:

@@ -1,14 +1,16 @@
 """Shared oracles for the test suite.
 
 Everything here is implemented independently of the package internals:
-permutation-expansion determinants, Fraction-based pivot tests, an
+permutation-expansion determinants and adjugates, determinantal divisors
+from the gcds of minors, Fraction-based pivot tests, an
 all-permutations canonical form, a direct multiset search for 2x2 Gram
 decompositions, Prüfer-sequence tree enumeration with brute-force
 isomorphism, Cayley-table conjugacy counting, and brute-force listers of
-pinned Gram decompositions and of orthogonal columns. Agreement between
-these and the library is the point of the tests, so none of them may call
-back into blocksmith. The four exceptions are
-``labelled_enumeration``, ``multiplicity_search_classify``,
+pinned Gram decompositions and of orthogonal columns, and the replaced
+three-array Smith normal form, ``accumulating_snf``, which pins the
+transforms. Agreement between these and the library is the point of the
+tests, so none of them may call back into blocksmith. The four exceptions
+are ``labelled_enumeration``, ``multiplicity_search_classify``,
 ``unpruned_search_rows`` and ``expanding_solve``, reference copies of
 replaced algorithms that pin the output of their successors, not the
 primitives they share with them.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import settings
@@ -60,6 +62,116 @@ def naive_adjugate(rows) -> list:
         return [[row[c] for c in range(n) if c != i] for r, row in enumerate(rows) if r != j]
 
     return [[(-1) ** (i + j) * naive_det(minor(j, i)) for j in range(n)] for i in range(n)]
+
+
+def determinantal_divisors(rows) -> tuple:
+    """The nonzero elementary divisors of an integer matrix from its minors:
+    D_r is the gcd of all r x r minors (``naive_det``), D_0 = 1, and
+    d_r = D_r / D_{r-1} for every r with D_r != 0. Exponential; fine for
+    sizes <= 4."""
+    n, k = len(rows), len(rows[0])
+    divisors = []
+    prev = 1
+    for r in range(1, min(n, k) + 1):
+        d = 0
+        for ri in itertools.combinations(range(n), r):
+            for ci in itertools.combinations(range(k), r):
+                d = gcd(d, naive_det([[rows[i][j] for j in ci] for i in ri]))
+        if d == 0:
+            break
+        divisors.append(d // prev)
+        prev = d
+    return tuple(divisors)
+
+
+def accumulating_snf(rows) -> tuple:
+    """(diagonal, left, right) of the Smith normal form of ``rows``, as
+    tuple and lists, with left * rows * right = diag, as they were first
+    computed: the matrix and both transforms are kept as three arrays and
+    every move is applied to the two that it touches. The pivot is the
+    least (|a_ij|, i, j) of the remaining block; row and column t are
+    cleared by floor division until no remainder is left, the first row
+    holding an entry not divisible by the pivot is added to row t, and a
+    negative pivot row is negated. What ``smith_normal_form`` returns must
+    equal this, transforms included."""
+    a = [list(row) for row in rows]
+    n_rows, n_cols = len(a), len(a[0])
+    left = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
+    right = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
+
+    def row_op(i, j, q):
+        # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
+
+    def col_op(i, j, q):
+        # col_i -= q * col_j
+        for row in a:
+            row[i] -= q * row[j]
+        for row in right:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in right:
+            row[i], row[j] = row[j], row[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        left[i] = [-x for x in left[i]]
+
+    t = 0
+    while t < min(n_rows, n_cols):
+        candidates = [
+            (abs(a[i][j]), i, j)
+            for i in range(t, n_rows)
+            for j in range(t, n_cols)
+            if a[i][j] != 0
+        ]
+        if not candidates:
+            break
+        _, pi, pj = min(candidates)
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        dirty = False
+        for i in range(t + 1, n_rows):
+            if a[i][t] != 0:
+                q = a[i][t] // a[t][t]
+                row_op(i, t, q)
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n_cols):
+            if a[t][j] != 0:
+                q = a[t][j] // a[t][t]
+                col_op(j, t, q)
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, n_rows):
+            for j in range(t + 1, n_cols):
+                if a[i][j] % a[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_op(t, offender, -1)
+            continue
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    diagonal = tuple(a[i][i] for i in range(min(n_rows, n_cols)))
+    return diagonal, left, right
 
 
 def fraction_definiteness(rows) -> str:

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from blocksmith import IntMatrix
+from blocksmith import IntMatrix, brauer
 from blocksmith.casebook import (
     SKIPPED_OUTCOME,
     CaseRule,
@@ -264,6 +264,14 @@ def test_rule_for_unknown_candidate_is_an_error():
     with pytest.raises(CasebookError) as err:
         run_dimension(13, rules=[rule])
     assert "ghost" in str(err.value)
+
+
+def test_tree_step_beyond_the_edge_bound_is_an_error(monkeypatch):
+    # with trees of at most 2 edges enumerated, a prime-determinant candidate
+    # with l = 3 has no tree to match and must not be excluded for it
+    monkeypatch.setattr(brauer, "EDGE_BOUND", 2)
+    with pytest.raises(CasebookError, match="needs trees with 3 edges, beyond the bound 2"):
+        run_dimension(13)
 
 
 def test_rules_files_load():

@@ -1,15 +1,18 @@
 """Gram decomposition solver: exact solution sets, pinned searches,
 orthogonal columns, and verification."""
 
+import ast
 import itertools
 import os
 import subprocess
 import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import blocksmith
 from blocksmith import (
     GramInputError,
     GramProblem,
@@ -446,6 +449,20 @@ def test_failed_verification_raises(monkeypatch):
     monkeypatch.setattr(gram, "verify_solution", lambda p, s: False)
     with pytest.raises(InvariantError):
         solve(GramProblem(target_gram=M([[5, 2], [2, 4]])))
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so an invariant check must raise
+    package = Path(blocksmith.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert package / "intmat.py" in sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_invariant_checks_run_under_optimize():

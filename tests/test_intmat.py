@@ -23,10 +23,13 @@ from blocksmith.intmat import (
     smith_normal_form,
 )
 
+from blocksmith.cartan import enumerate_cartan, min_sum_for_l
 from blocksmith.casebook import _rule_from_obj
 
 from conftest import (
+    accumulating_snf,
     all_permutations_canonical_form,
+    determinantal_divisors,
     fraction_definiteness,
     graph_cartan,
     naive_adjugate,
@@ -190,6 +193,61 @@ def test_smith_normal_form_properties(rng):
         left, right = res.left_transform, res.right_transform
         assert abs(det(left)) == 1 and abs(det(right)) == 1
         assert left.matmul(a).matmul(right) == res.as_matrix((n, m))
+
+
+def snf_test_matrices(rng, n, m, count, lo=-9, hi=9):
+    """``count`` random n x m row lists: a zero matrix, full-range random
+    matrices with negative entries, and products of n x r by r x m matrices
+    with r < min(n, m), which are rank-deficient."""
+    out = [[[0] * m for _ in range(n)]]
+    for i in range(1, count):
+        r = rng.randint(1, min(n, m) - 1) if i % 3 == 0 and min(n, m) > 1 else 0
+        if r:
+            b = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(n)]
+            c = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+            out.append(
+                [[sum(b[i][u] * c[u][j] for u in range(r)) for j in range(m)] for i in range(n)]
+            )
+        else:
+            out.append([[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)])
+    return out
+
+
+def test_smith_normal_form_matches_accumulating_oracle(rng):
+    # the transforms are printed by the snf command, so they are pinned too
+    seen = set()
+    for n in range(1, 7):
+        for m in range(1, 7):
+            for rows in snf_test_matrices(rng, n, m, 16):
+                res = smith_normal_form(IntMatrix.from_rows(rows))
+                diagonal, left, right = accumulating_snf(rows)
+                assert res.diagonal == diagonal
+                assert res.left_transform.to_lists() == left
+                assert res.right_transform.to_lists() == right
+                zeros = diagonal.count(0)
+                seen.add("zero" if zeros == len(diagonal) else "deficient" if zeros else "full")
+    assert seen == {"zero", "deficient", "full"}
+
+
+def test_elementary_divisors_match_determinantal_divisors(rng):
+    seen = set()
+    for n, m in itertools.product(range(1, 5), repeat=2):
+        for rows in snf_test_matrices(rng, n, m, 188, -6, 6):
+            if rng.random() < 0.3:
+                s = rng.randint(2, 4)
+                rows = [[s * x for x in row] for row in rows]
+            divisors = elementary_divisors(IntMatrix.from_rows(rows))
+            assert divisors == determinantal_divisors(rows), rows
+            seen.add((len(divisors) < min(n, m), n == m))
+            seen.add(len(set(divisors) - {1}) > 1)
+    # singular and nonsingular, square and not, and more than one divisor > 1
+    assert seen == {(True, True), (True, False), (False, True), (False, False), True, False}
+    for total in range(13, 17):
+        l = 1
+        while min_sum_for_l(l) <= total:
+            for c in enumerate_cartan(total, l):
+                assert c.divisors == determinantal_divisors(c.matrix.rows)
+            l += 1
 
 
 def test_definiteness_against_fraction_pivots(rng):
