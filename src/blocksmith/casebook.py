@@ -26,7 +26,7 @@ from .cartan import (
     min_sum_for_l,
 )
 from .contrib import contribution_matrix, heights_from_contribution
-from .gram import GramProblem, GramSolution, row_quad, solve, solve_orthogonal_column
+from .gram import GramProblem, GramSolution, row_forms, solve, solve_orthogonal_column
 from .intmat import IntMatrix, adjugate_and_det, matrix_from_obj, p_adic_valuation
 
 # Rule schema. A field holds an int, bool or str (exactly that type), a
@@ -410,12 +410,13 @@ class _Engine:
         required = filt["required_valuation"]
         indices = filt["row_indices"]
         adj, d = adjugate_and_det(gram)
+        forms = row_forms(adj)
         survivors = []
         for s in sols:
             ok = True
             for i in indices:
                 row = s.q.rows[i]
-                m_ii, rem = divmod(defect_order * row_quad(row, adj), d)
+                m_ii, rem = divmod(defect_order * forms[row, row], d)
                 if rem:
                     raise CasebookError(
                         "valuation filter: contribution entry is not integral; "

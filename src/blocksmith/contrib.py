@@ -4,6 +4,9 @@ carry.
 For Q with Q^t Q = C and defect order |D|, the contribution matrix is
 M = |D| * Q * C^{-1} * Q^t. It is an exact integer matrix, symmetric,
 idempotent up to the scale |D| (M * M = |D| * M), and has trace |D| * l.
+Its entries are the row forms r.adj(C).s^t of ``gram.row_forms``, one memo
+per adjugate, keyed on the adjugate; all three laws are checked on every
+matrix built.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cartan import is_prime
+from .gram import row_forms
 from .intmat import (
     IntMatrix,
     InvariantError,
@@ -51,7 +55,10 @@ def contribution_matrix(
     q: IntMatrix, c: IntMatrix, defect_order: int
 ) -> ContributionResult:
     """|D| * Q * C^{-1} * Q^t, computed exactly via the adjugate, which is
-    shared with the Gram search of C (``adjugate_and_det``)."""
+    shared with the Gram search of C (``adjugate_and_det``). Entry (i, j)
+    is |D| * r_i.adj.r_j^t / det C, read for each pair of distinct rows of
+    Q from the memo ``gram.row_forms`` of that adjugate, keyed on the
+    adjugate itself; Q may be any matrix with Q^t Q = C."""
     if defect_order <= 0:
         raise ContributionError("defect order must be positive")
     if q.col_count != c.col_count or not c.is_square:
@@ -61,20 +68,23 @@ def contribution_matrix(
         raise ContributionError("Gram matrix is singular")
     if q.transpose().matmul(q) != c:
         raise ContributionError("Q^t Q does not reproduce the Gram matrix")
-    scaled = q.matmul(adj).matmul(q.transpose())
-    rows = []
-    for row in scaled.rows:
-        out_row = []
-        for x in row:
-            num = defect_order * x
+    forms = row_forms(adj)
+    where = {r: t for t, r in enumerate(dict.fromkeys(q.rows))}
+    slots = [where[r] for r in q.rows]
+    m_rows = []
+    for r in where:
+        values = []
+        for u in where:
+            num = defect_order * forms[r, u]
             if num % d != 0:
                 raise ContributionError(
                     "contribution matrix is not integral; defect order does not "
                     "match the decomposition"
                 )
-            out_row.append(num // d)
-        rows.append(out_row)
-    m = IntMatrix.from_rows(rows)
+            values.append(num // d)
+        m_rows.append(tuple(values[t] for t in slots))
+    # ints from num // d, one row per distinct row of Q
+    m = IntMatrix._unchecked(tuple(m_rows[t] for t in slots))
     # invariants of a scaled idempotent
     if not m.is_symmetric:
         raise InvariantError("internal: contribution matrix is not symmetric")

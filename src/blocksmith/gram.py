@@ -20,12 +20,19 @@ C is connected, and for a disconnected C only the largest X of each orbit
 of the patterns is used (``_solve_free`` says why both are exact). Pinned
 problems canonicalize each sequence the kernel emits. ``verify_solution``
 re-checks every returned solution from its rows and columns.
+
+The row form r.adj(C).s^t has one memo per adjugate (``row_forms``), keyed
+on the adjugate itself rather than on C. The pool build fills its (r, r)
+entries once per target, and every later reader (verification, the pinned
+diagonal filter, the casebook valuation filter and the contribution
+matrix) looks the values up instead of evaluating them per solution.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -129,21 +136,56 @@ class GramSolution:
     canonical_key: bytes
 
 
-def row_quad(r: Sequence[int], adj: IntMatrix) -> int:
-    """r . adj . r^t, the scaled contribution of the row."""
-    return sum(ri * sum(map(mul, row, r)) for ri, row in zip(r, adj.rows) if ri)
+def row_quad(r: Sequence[int], adj: IntMatrix, s: Sequence[int] | None = None) -> int:
+    """r . adj . s^t, evaluated afresh; s defaults to r, and r . adj . r^t
+    is the scaled contribution of the row. Readers take the value from the
+    memo of ``row_forms`` instead, which calls this once per pair."""
+    s = r if s is None else s
+    return sum(ri * sum(map(mul, row, s)) for ri, row in zip(r, adj.rows) if ri)
+
+
+class RowForms(dict):
+    """The memo of one adjugate: (r, s) -> r . adj . s^t for row tuples r
+    and s, each pair evaluated by ``row_quad`` on its first read."""
+
+    def __init__(self, adj: IntMatrix) -> None:
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, key: tuple[Row, Row]) -> int:
+        r, s = key
+        value = self[key] = row_quad(r, self.adj, s)
+        return value
+
+
+@lru_cache(maxsize=32)
+def row_forms(adj: IntMatrix) -> RowForms:
+    """The row-form memo of ``adj``, keyed on the adjugate the caller got
+    (not on C), so a wrong or patched adjugate never reads entries computed
+    from another one. Bounded like ``adjugate_and_det``. The pool build
+    fills the (r, r) entries of every row of the box; ``verify_solution``,
+    the pinned diagonal filter, the casebook valuation filter and
+    ``contrib.contribution_matrix`` read from it."""
+    return RowForms(adj)
+
+
+def _quad_limit(d: int) -> int:
+    """The largest r . adj . r^t a valid row may have: below det C, or equal
+    to it when det C = 1."""
+    return d if d == 1 else d - 1
 
 
 def row_is_valid(r: Sequence[int], adj: IntMatrix, d: int) -> bool:
-    q = row_quad(r, adj)
-    if d == 1:
-        return q <= d
-    return q < d
+    r = tuple(r)
+    return row_forms(adj)[r, r] <= _quad_limit(d)
 
 
 def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:
-    """Candidate rows, sorted decreasing; zero row excluded."""
+    """Candidate rows, sorted decreasing; zero row excluded. Fills the memo
+    of adj(C) with r . adj . r^t for every nonzero row of the box."""
     adj, d = adjugate_and_det(c)
+    forms = row_forms(adj)
+    limit = _quad_limit(d)
     bounds = [isqrt(c.rows[j][j]) for j in range(c.col_count)]
     ranges = [
         range(-b, b + 1) if signed else range(0, b + 1) for b in bounds
@@ -151,7 +193,7 @@ def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:
     pool = [
         r
         for r in itertools.product(*ranges)
-        if any(r) and row_is_valid(r, adj, d)
+        if any(r) and forms[r, r] <= limit
     ]
     pool.sort(reverse=True)
     return pool
@@ -405,13 +447,14 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     if not p.require_nonzero_rows:
         pool = sorted(pool + [zero], reverse=True)
     adj, d = adjugate_and_det(c)
+    forms = row_forms(adj)
     groups = _row_groups(p, k)
     slots: list[list[Row]] = [[] for _ in range(k)]
     for g in groups:
         opts = [zero] if g[0] in p.zero_rows else list(pool)
         if p.diag_constraints is not None:
             want = p.diag_constraints[g[0]] * d
-            opts = [r for r in opts if row_quad(r, adj) * p.defect_order == want]
+            opts = [r for r in opts if forms[r, r] * p.defect_order == want]
         for i in g:
             slots[i] = opts
     cols = [
@@ -484,9 +527,13 @@ def solve_orthogonal_column(
 
 def verify_solution(p: GramProblem, s: GramSolution) -> bool:
     """Re-derive every constraint of the problem from the rows and columns
-    of Q: the row counts, Q^t Q = C, the signs, each row's bound and
-    zero-row flag, B^t Q = 0 for each fixed block B and the contribution
-    diagonal. No intermediate matrix is built."""
+    of Q: the row counts, Q^t Q = C (a symmetric C, compared on its upper
+    triangle), the signs, each row's bound and zero-row flag, B^t Q = 0 for
+    each fixed block B and the contribution diagonal. No intermediate
+    matrix is built. The row bound and the contribution diagonal read
+    r . adj . r^t from the memo of ``row_forms``, keyed on the adjugate
+    that ``adjugate_and_det`` returns here; in a free solve the pool build
+    has already filled every entry read."""
     q = s.q
     c = p.target_gram
     if q.col_count != c.col_count:
@@ -499,8 +546,13 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
         return False
     if isinstance(p.row_count, tuple) and not (p.row_count[0] <= n <= p.row_count[1]):
         return False
+    # once C = C^t, the upper triangle of Q^t Q settles Q^t Q = C
+    if c.rows != tuple(zip(*c.rows)):
+        return False
     cols = tuple(zip(*q.rows))
-    if tuple(tuple(sum(map(mul, u, v)) for v in cols) for u in cols) != c.rows:
+    if [sum(map(mul, u, v)) for u, v in itertools.combinations_with_replacement(cols, 2)] != [
+        x for i, row in enumerate(c.rows) for x in row[i:]
+    ]:
         return False
     if not p.signed and any(x < 0 for row in q.rows for x in row):
         return False
@@ -511,8 +563,11 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
         if not forced_zero and p.require_nonzero_rows and not any(row):
             return False
     adj, d = adjugate_and_det(c)
-    if not all(row_is_valid(row, adj, d) for row in set(q.rows) if any(row)):
-        return False
+    forms = row_forms(adj)
+    limit = _quad_limit(d)
+    for row in set(q.rows):
+        if any(row) and forms[row, row] > limit:
+            return False
     for b in p.fixed_blocks:
         if b.row_count != n or any(
             sum(map(mul, u, v)) for u in zip(*b.rows) for v in cols
@@ -520,7 +575,7 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
             return False
     if p.diag_constraints is not None:
         for row, want in zip(q.rows, p.diag_constraints):
-            num = p.defect_order * row_quad(row, adj)
+            num = p.defect_order * forms[row, row]
             if num % d != 0 or num // d != want:
                 return False
     return True

@@ -320,7 +320,9 @@ def is_connected(rows: Sequence[Sequence[int]]) -> bool:
 def adjugate_and_det(m: IntMatrix) -> tuple[IntMatrix, int]:
     """adj(m) and det m of a square matrix, computed once per matrix and
     shared by the row pool, the pinned search, every ``verify_solution``
-    call and every contribution matrix of one target.
+    call and every contribution matrix of one target. Those read the row
+    forms r.adj.s^t from ``gram.row_forms``, a memo keyed on the adjugate
+    returned here and bounded like this cache.
 
     Faddeev-LeVerrier recurrence: M_1 = I and, for k = 1..n,
     c_k = -tr(m M_k) / k and M_{k+1} = m M_k + c_k I. The c_k are the

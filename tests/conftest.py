@@ -6,8 +6,9 @@ from the gcds of minors, Fraction-based pivot tests, an
 all-permutations canonical form, a direct multiset search for 2x2 Gram
 decompositions, Prüfer-sequence tree enumeration with brute-force
 isomorphism, Cayley-table conjugacy counting, and brute-force listers of
-pinned Gram decompositions and of orthogonal columns, and the replaced
-three-array Smith normal form, ``accumulating_snf``, which pins the
+pinned Gram decompositions and of orthogonal columns, a Gram solution
+check and a contribution matrix from the plain product Q.adj.Q^t, and the
+replaced three-array Smith normal form, ``accumulating_snf``, which pins the
 transforms. Agreement between these and the library is the point of the
 tests, so none of them may call back into blocksmith. The four exceptions
 are ``labelled_enumeration``, ``multiplicity_search_classify``,
@@ -335,6 +336,67 @@ def adj_det(c):
 def quad(r, adj) -> int:
     n = len(r)
     return sum(r[i] * adj[i][j] * r[j] for i in range(n) for j in range(n))
+
+
+def plain_forms(q, adj) -> list:
+    """Q.adj.Q^t by the plain product, for a k x l list q and l x l adj."""
+    l = len(adj)
+    qa = [[sum(r[i] * adj[i][j] for i in range(l)) for j in range(l)] for r in q]
+    return [[sum(x * y for x, y in zip(row, s)) for s in q] for row in qa]
+
+
+def plain_verify(
+    q, c, adj, d, signed=False, require_nonzero_rows=True, diag=None, defect_order=None
+) -> bool:
+    """The verdict of a Gram solution check without fixed blocks, forced
+    zero rows or a row count, from the definitions: Q^t Q equal to c in
+    every entry, the signs, no zero row if require_nonzero_rows,
+    r.adj.r^t < d (<= when d = 1) for every nonzero row and
+    defect_order * r_i.adj.r_i^t / d equal to diag[i] (which also fixes
+    the row count); the row forms are the diagonal of ``plain_forms``."""
+    l = len(c)
+    if diag is not None and len(q) != len(diag):
+        return False
+    gram = [[sum(r[i] * r[j] for r in q) for j in range(l)] for i in range(l)]
+    if gram != [list(row) for row in c]:
+        return False
+    if not signed and any(x < 0 for r in q for x in r):
+        return False
+    if require_nonzero_rows and not all(any(r) for r in q):
+        return False
+    forms = plain_forms(q, adj)
+    for i, r in enumerate(q):
+        f = forms[i][i]
+        if any(r) and not (f < d or (d == 1 and f == d)):
+            return False
+        if diag is not None and defect_order * f != diag[i] * d:
+            return False
+    return True
+
+
+def plain_contribution(q, c, adj, d, defect_order):
+    """defect_order * Q.adj.Q^t / d from ``plain_forms``, with the checks of
+    a contribution matrix: the rows of M, or the name of the first check
+    that fails ("gram" for Q^t Q != c, "integral", "symmetric",
+    "idempotent", "trace")."""
+    l = len(c)
+    if [[sum(r[i] * r[j] for r in q) for j in range(l)] for i in range(l)] != [
+        list(row) for row in c
+    ]:
+        return "gram"
+    forms = plain_forms(q, adj)
+    if any(defect_order * x % d for row in forms for x in row):
+        return "integral"
+    m = [[defect_order * x // d for x in row] for row in forms]
+    k = len(m)
+    if any(m[i][j] != m[j][i] for i in range(k) for j in range(k)):
+        return "symmetric"
+    mm = [[sum(m[i][t] * m[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+    if mm != [[defect_order * x for x in row] for row in m]:
+        return "idempotent"
+    if sum(m[i][i] for i in range(k)) != defect_order * l:
+        return "trace"
+    return m
 
 
 def pinned_gram_oracle(

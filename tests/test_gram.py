@@ -8,17 +8,21 @@ import subprocess
 import sys
 from math import isqrt
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import blocksmith
 from blocksmith import (
+    ContributionError,
     GramInputError,
     GramProblem,
     GramSolution,
     IntMatrix,
     InvariantError,
+    contrib,
+    contribution_matrix,
     gram,
     solve,
     solve_orthogonal_column,
@@ -30,9 +34,13 @@ from blocksmith.intmat import adjugate, det
 from conftest import (
     adj_det,
     gram2_decompositions,
+    naive_adjugate,
+    naive_det,
     orthogonal_column_oracle,
     pinned_gram_oracle,
     pinned_gram_orbit,
+    plain_contribution,
+    plain_verify,
     quad,
 )
 
@@ -443,6 +451,99 @@ def test_every_solution_verifies(rng):
         p = GramProblem(target_gram=c)
         for s in solve(p):
             assert verify_solution(p, s)
+
+
+@st.composite
+def targets_sharing_rows(draw):
+    """Two to four positive definite targets C = Q^t Q, l <= 3, whose Q
+    take their rows (negative entries and the zero row allowed) from one
+    small shared alphabet, so rows recur across different adjugates."""
+    l = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-2, 2)] * l)
+    alphabet = draw(st.lists(row, min_size=l, max_size=5, unique=True)) + [(0,) * l]
+    out = []
+    for _ in range(draw(st.integers(2, 4))):
+        q = draw(st.lists(st.sampled_from(alphabet), min_size=l, max_size=6))
+        c = [[sum(r[i] * r[j] for r in q) for j in range(l)] for i in range(l)]
+        if naive_det(c) > 0:
+            out.append((q, c))
+    assume(len(out) >= 2)
+    return out
+
+
+def _contribution_or_law(q, c, defect_order):
+    try:
+        return contribution_matrix(M(q), M(c), defect_order).matrix.to_lists()
+    except ContributionError as e:
+        return "gram" if "reproduce" in str(e) else "integral"
+    except InvariantError as e:
+        return next(law for law in ("symmetric", "idempotent", "trace") if law in str(e))
+
+
+@given(targets_sharing_rows(), st.data())
+def test_row_form_readers_match_plain_products(targets, data):
+    # each target is checked with its own adjugate and then with the next
+    # target's, returned by a patched adjugate_and_det: the values read must
+    # be those of the adjugate the caller got
+    adjs = [(naive_adjugate(c), naive_det(c)) for _, c in targets]
+    for t, (q, c) in enumerate(targets):
+        for adj, d in (adjs[t], adjs[(t + 1) % len(targets)]):
+            def fake(m, adj=M(adj), d=d):
+                return adj, d
+
+            with mock.patch.object(gram, "adjugate_and_det", fake), mock.patch.object(
+                contrib, "adjugate_and_det", fake
+            ):
+                defect_order = data.draw(st.sampled_from([adjs[t][1], 1, 2, 3]))
+                expected = plain_contribution(q, c, adj, d, defect_order)
+                assert _contribution_or_law(q, c, defect_order) == expected
+                negated = [tuple(-x for x in q[0])] + q[1:]
+                for rows in (q, negated):
+                    signed = data.draw(st.booleans())
+                    nonzero = data.draw(st.booleans())
+                    diag = None
+                    if isinstance(expected, list) and data.draw(st.booleans()):
+                        diag = tuple(expected[i][i] for i in range(len(rows)))
+                    p = GramProblem(
+                        target_gram=M(c),
+                        sign_mode="signed" if signed else "nonnegative",
+                        require_nonzero_rows=nonzero,
+                        diag_constraints=diag,
+                        defect_order=defect_order if diag else None,
+                    )
+                    s = GramSolution(q=M(rows), canonical_key=b"")
+                    assert verify_solution(p, s) == plain_verify(
+                        rows, c, adj, d, signed=signed, require_nonzero_rows=nonzero,
+                        diag=diag, defect_order=defect_order,
+                    )
+                    if len(c) > 1:
+                        # a non-symmetric C whose upper triangle is Q^t Q's
+                        skew = [list(r) for r in c]
+                        skew[1][0] += 1
+                        bad = GramProblem(target_gram=M(skew), sign_mode=p.sign_mode)
+                        assert not verify_solution(bad, s)
+
+
+# Row-form evaluations of the signed solve of the criterion-8a target: the
+# nonzero rows of its box |r_i| <= isqrt(C_ii), 5 * 5 * 7 - 1. Evaluated
+# once per row of each solution, the row bound alone made 224,970.
+ROW_FORM_CEILING = 174
+
+
+def test_signed_8a_solve_evaluates_each_box_row_once(monkeypatch):
+    calls = 0
+    evaluate = gram.row_quad
+
+    def counting_row_quad(*args):
+        nonlocal calls
+        calls += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(gram, "row_quad", counting_row_quad)
+    gram.row_forms.cache_clear()
+    c = M([[7, 1, 0], [1, 4, 0], [0, 0, 9]])
+    assert len(solve(GramProblem(target_gram=c, sign_mode="signed"))) == 28306
+    assert calls <= ROW_FORM_CEILING
 
 
 def test_failed_verification_raises(monkeypatch):
