@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -130,7 +131,11 @@ def _parse_row_count(text: str) -> int | tuple[int, int]:
         raise CliError(f"bad row count {text!r}")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The parser of every command, built on the first dispatch and reused:
+    parsing leaves no state in it (an appended default is copied before it
+    grows, and an error raises ``CliError`` instead of exiting)."""
     p = _Parser(prog="blocksmith", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -467,19 +467,45 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     return list(dict.fromkeys(_canonicalize(rows, groups, patterns) for rows in found))
 
 
+def _arrangements(rep: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every distinct ordering of the nonincreasing tuple ``rep``, in
+    decreasing order from ``rep`` itself: each one is the lexicographic
+    predecessor of the one before (Narayana's step, reversed), so a
+    repeated value is never permuted among its own copies."""
+    a = list(rep)
+    out = []
+    while True:
+        out.append(tuple(a))
+        i = len(a) - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
 def solve_orthogonal_column(
     q1: IntMatrix,
     gram_value: int,
     signed: bool = True,
     zero_rows: frozenset[int] | Iterable[int] = frozenset(),
 ) -> list[tuple[int, ...]]:
-    """All integer columns v with v.v = gram_value and q1^t v = 0.
+    """All integer columns v with v.v = gram_value and q1^t v = 0, sorted
+    decreasing.
 
     Forced zero entries are respected; in signed mode the result is reported
-    up to global sign (first nonzero entry positive): the search admits
-    only nonnegative entries until it places a nonzero one, so each column
-    is found once, already in that sign. An empty list means the constraints
-    are proved unsatisfiable.
+    up to global sign (first nonzero entry positive). Permuting the entries
+    of v among indices whose q1 row and zero-row flag agree keeps v.v and
+    q1^t v, so the search places the entries of one such class after
+    another, nonincreasing within each class, and every column it finds is
+    expanded to all distinct arrangements of each class's entries over that
+    class's indices. The search admits both signs; of v and -v the
+    expansion keeps the one whose first nonzero entry is positive. An empty
+    list means the constraints are proved unsatisfiable.
     """
     if gram_value <= 0:
         raise GramInputError("gram value must be positive")
@@ -487,40 +513,54 @@ def solve_orthogonal_column(
     k = q1.row_count
     if any(i < 0 or i >= k for i in zero_rows):
         raise GramInputError("zero-row index out of range")
-    cols = [tuple(q1.rows[i][u] for i in range(k)) for u in range(q1.col_count)]
+    # a forced-zero class holds zeros only, so only the free indices are
+    # walked, in classes of equal rows
+    classes: dict[Row, list[int]] = {}
+    for i in range(k):
+        if i not in zero_rows:
+            classes.setdefault(q1.rows[i], []).append(i)
+    order = [i for members in classes.values() for i in members]
+    n = len(order)
+    shared = [t > 0 for members in classes.values() for t in range(len(members))]
+    cols = [tuple(q1.rows[i][u] for i in order) for u in range(q1.col_count)]
     suffix_sq = [
-        [sum(col[t] * col[t] for t in range(i, k)) for i in range(k + 1)]
+        [sum(col[t] * col[t] for t in range(i, n)) for i in range(n + 1)]
         for col in cols
     ]
-    out: list[tuple[int, ...]] = []
+    found: list[tuple[int, ...]] = []
     entry: list[int] = []
 
-    def place(i: int, remaining: int, dots: list[int]) -> None:
-        if i == k:
-            if remaining == 0 and all(s == 0 for s in dots):
-                out.append(tuple(entry))
+    def place(t: int, remaining: int, dots: list[int]) -> None:
+        if t == n:
+            if remaining == 0 and not any(dots):
+                found.append(tuple(entry))
             return
-        if i in zero_rows:
-            choices: Iterable[int] = (0,)
-        else:
-            b = isqrt(remaining)
-            # remaining < gram_value once a nonzero entry has been placed
-            choices = range(-b if signed and remaining < gram_value else 0, b + 1)
-        for x in choices:
+        b = isqrt(remaining)
+        top = min(b, entry[-1]) if shared[t] else b
+        for x in range(-b if signed else 0, top + 1):
             rem = remaining - x * x
-            if rem < 0:
-                continue
-            new_dots = [s + col[i] * x for s, col in zip(dots, cols)]
+            new_dots = [s + col[t] * x for s, col in zip(dots, cols)]
             if any(
-                s * s > suffix_sq[u][i + 1] * rem
+                s * s > suffix_sq[u][t + 1] * rem
                 for u, s in enumerate(new_dots)
             ):
                 continue
             entry.append(x)
-            place(i + 1, rem, new_dots)
+            place(t + 1, rem, new_dots)
             entry.pop()
 
     place(0, gram_value, [0] * len(cols))
+    spans = list(itertools.accumulate((len(m) for m in classes.values()), initial=0))
+    out: list[tuple[int, ...]] = []
+    for rep in found:
+        for parts in itertools.product(
+            *(_arrangements(rep[a:b]) for a, b in itertools.pairwise(spans))
+        ):
+            v = [0] * k
+            for i, x in zip(order, itertools.chain.from_iterable(parts)):
+                v[i] = x
+            if not signed or next(x for x in v if x) > 0:
+                out.append(tuple(v))
     out.sort(reverse=True)
     return out
 

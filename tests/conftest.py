@@ -6,7 +6,8 @@ from the gcds of minors, Fraction-based pivot tests, an
 all-permutations canonical form, a direct multiset search for 2x2 Gram
 decompositions, Prüfer-sequence tree enumeration with brute-force
 isomorphism, Cayley-table conjugacy counting, and brute-force listers of
-pinned Gram decompositions and of orthogonal columns, a Gram solution
+pinned Gram decompositions and of orthogonal columns, the replaced
+one-entry-per-index orthogonal-column search, a Gram solution
 check and a contribution matrix from the plain product Q.adj.Q^t, and the
 replaced three-array Smith normal form, ``accumulating_snf``, which pins the
 transforms. Agreement between these and the library is the point of the
@@ -674,6 +675,43 @@ def orthogonal_column_oracle(q1, g, signed, zero_rows=()) -> list:
             v = tuple(-x for x in v)
         found.add(v)
     return sorted(found, reverse=True)
+
+
+def plain_orthogonal_column(q1, g, signed=True, zero_rows=()) -> list:
+    """The orthogonal-column search as it was before classes of equal rows:
+    one entry of v per index in order, nonnegative until the first nonzero
+    one in signed mode, with the Cauchy-Schwarz prune on each partial dot
+    product with a column of q1 (a list of k rows). Its output, order
+    included, is what ``blocksmith.solve_orthogonal_column`` must return."""
+    k = len(q1)
+    cols = [tuple(row[u] for row in q1) for u in range(len(q1[0]))]
+    suffix_sq = [[sum(x * x for x in col[i:]) for i in range(k + 1)] for col in cols]
+    out = []
+    entry = []
+
+    def place(i, remaining, dots):
+        if i == k:
+            if remaining == 0 and all(s == 0 for s in dots):
+                out.append(tuple(entry))
+            return
+        if i in zero_rows:
+            choices = (0,)
+        else:
+            b = isqrt(remaining)
+            # remaining < g once a nonzero entry has been placed
+            choices = range(-b if signed and remaining < g else 0, b + 1)
+        for x in choices:
+            rem = remaining - x * x
+            new_dots = [s + col[i] * x for s, col in zip(dots, cols)]
+            if any(s * s > suffix_sq[u][i + 1] * rem for u, s in enumerate(new_dots)):
+                continue
+            entry.append(x)
+            place(i + 1, rem, new_dots)
+            entry.pop()
+
+    place(0, g, [0] * len(cols))
+    out.sort(reverse=True)
+    return out
 
 
 # ------------------------------------------------------------------- trees

@@ -4,9 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from blocksmith import cli
 from blocksmith.cli import (
     EXIT_EMPTY,
     EXIT_INVALID,
@@ -119,6 +121,27 @@ def test_solve_gram_options(capsys):
         capsys, "solve-gram", "--gram", "[[5,2],[2,4]]", "--rows", "6..9"
     )
     assert [len(s["rows"]) for s in env["payload"]["solutions"]] == [7]
+
+
+def test_reused_parser_matches_a_fresh_one(capsys):
+    """dispatch builds its parser once per process. A sequence of calls
+    through it prints byte for byte what each call prints with a freshly
+    built parser: a failed parse leaves nothing behind, and the --fixed
+    default of the first solve-gram does not reach the second."""
+    calls = [
+        ["casebook", "run", "--dim", "13"],
+        ["solve-gram", "--gram", "[[1,2],[3,4]]"],
+        ["solve-gram", "--gram", "[[2]]", "--signed", "--rows", "2", "--fixed", "[[1],[1]]"],
+        ["solve-gram", "--gram", "[[2]]", "--signed", "--rows", "2"],
+        ["casebook", "run", "--dim", "13"],
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+        fresh = [run(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _ in reused] == [EXIT_OK, EXIT_INVALID, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert reused[2][1] != reused[3][1]
 
 
 def test_matrix_from_file(tmp_path, capsys):

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 from unittest import mock
@@ -40,6 +41,7 @@ from conftest import (
     pinned_gram_oracle,
     pinned_gram_orbit,
     plain_contribution,
+    plain_orthogonal_column,
     plain_verify,
     quad,
 )
@@ -297,6 +299,71 @@ def test_orthogonal_column_matches_brute_force(data):
     assert solve_orthogonal_column(
         M(q1), g, signed=signed, zero_rows=zero_rows
     ) == orthogonal_column_oracle(q1, g, signed, zero_rows)
+
+
+@given(st.data())
+def test_orthogonal_column_matches_plain_search_on_repeated_rows(data):
+    """solve_orthogonal_column, which searches one arrangement per class of
+    equal rows and expands it, lists exactly the columns of the plain
+    one-entry-per-index search, in its order. Q1's k <= 12 rows are drawn
+    from an alphabet of 1-3 rows, so classes have several members, and the
+    forced zeros are drawn over all indices, so they sometimes split a
+    class into a free part and a zero part."""
+    draw = data.draw
+    width = draw(st.integers(1, 3))
+    alphabet = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=width, max_size=width),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    k = draw(st.integers(1, 12))
+    q1 = [draw(st.sampled_from(alphabet)) for _ in range(k)]
+    signed = draw(st.booleans())
+    g = draw(st.integers(1, 9))
+    zero_rows = draw(st.sets(st.integers(0, k - 1), max_size=k // 2))
+    assert solve_orthogonal_column(
+        M(q1), g, signed=signed, zero_rows=zero_rows
+    ) == plain_orthogonal_column(q1, g, signed, zero_rows)
+
+
+def test_orthogonal_column_casebook_inputs_match_plain_search():
+    """The two calls of the dimension-13 casebook on the det-27 candidate
+    [[7,1],[1,4]]: rule d13-27-c2-column (the 10-row Q1, entry 0 forced to
+    zero) has no column, and rule d13-27-c8-column (the 7-row Q1, entry 1
+    forced to zero) has six."""
+    q10 = [[1, 1]] + [[1, 0]] * 6 + [[0, 1]] * 3
+    assert solve_orthogonal_column(M(q10), 9, zero_rows={0}) == []
+    assert plain_orthogonal_column(q10, 9, True, {0}) == []
+    q7 = [[2, 0], [1, 1], [1, 0], [1, 0], [0, 1], [0, 1], [0, 1]]
+    cols = solve_orthogonal_column(M(q7), 9, zero_rows={1})
+    assert cols == plain_orthogonal_column(q7, 9, True, {1})
+    assert cols == [
+        (1, 0, -1, -1, 2, -1, -1),
+        (1, 0, -1, -1, 1, 1, -2),
+        (1, 0, -1, -1, 1, -2, 1),
+        (1, 0, -1, -1, -1, 2, -1),
+        (1, 0, -1, -1, -1, -1, 2),
+        (1, 0, -1, -1, -2, 1, 1),
+    ]
+
+
+def test_orthogonal_column_expands_a_class_of_sixteen_rows():
+    """Sixteen equal rows form one class: its columns of norm 2 are the 120
+    pairs of one 1 and one -1 with the 1 first. Expanding through every
+    permutation of the 16 entries instead of the distinct ones would take
+    16! steps."""
+    start = time.perf_counter()
+    cols = solve_orthogonal_column(M([[1]] * 16), 2)
+    assert time.perf_counter() - start < 1.0
+    assert cols == sorted(
+        (
+            tuple(1 if t == i else -1 if t == j else 0 for t in range(16))
+            for i, j in itertools.combinations(range(16), 2)
+        ),
+        reverse=True,
+    )
 
 
 def test_verify_solution_rejects_wrong_answers():
