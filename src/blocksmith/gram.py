@@ -133,7 +133,6 @@ class GramProblem:
 @dataclass(frozen=True)
 class GramSolution:
     q: IntMatrix
-    canonical_key: bytes
 
 
 def row_quad(r: Sequence[int], adj: IntMatrix, s: Sequence[int] | None = None) -> int:
@@ -231,7 +230,11 @@ def _canonicalize(
     permutations within each pinned group."""
 
     def arrange(pat: tuple[int, ...]) -> tuple[Row, ...]:
-        signed_rows = [tuple(s * x for s, x in zip(pat, r)) for r in rows]
+        # strict: a row that still carries appended fixed-column entries is
+        # an error, not silently cut to the pattern's length
+        signed_rows = [
+            tuple(s * x for s, x in zip(pat, r, strict=True)) for r in rows
+        ]
         arranged: list[Row] = list(signed_rows)
         for g in groups:
             block = sorted((signed_rows[i] for i in g), reverse=True)
@@ -240,11 +243,6 @@ def _canonicalize(
         return tuple(arranged)
 
     return max(arrange(pat) for pat in patterns)
-
-
-def _solution_from_rows(rows: tuple[Row, ...]) -> GramSolution:
-    # rows of the integer row pool, negated or zero: ints by construction
-    return GramSolution(q=IntMatrix._unchecked(rows), canonical_key=repr(rows).encode())
 
 
 def solve(p: GramProblem) -> list[GramSolution]:
@@ -262,8 +260,9 @@ def solve(p: GramProblem) -> list[GramSolution]:
     """
     p.validate()
     canon = _solve_pinned(p) if p.pinned else _solve_free(p)
-    solutions = [_solution_from_rows(rows) for rows in canon]
-    solutions.sort(key=lambda s: (s.q.row_count, s.canonical_key))
+    canon.sort(key=lambda rows: (len(rows), repr(rows)))
+    # rows of the integer row pool, negated or zero: ints by construction
+    solutions = [GramSolution(q=IntMatrix._unchecked(rows)) for rows in canon]
     for s in solutions:
         if not verify_solution(p, s):
             raise InvariantError(
@@ -426,6 +425,18 @@ def _solve_free(p: GramProblem) -> list[tuple[Row, ...]]:
     return out
 
 
+def _with_columns(
+    c: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """diag(C, U^t U) for the matrix U with columns ``cols``: the target of
+    the kernel rows (r_i | u_i), which sum to it exactly when the rows r_i
+    sum to C and are orthogonal to every column of U."""
+    l = len(c)
+    return [list(row) + [0] * len(cols) for row in c] + [
+        [0] * l + [sum(map(mul, u, v)) for v in cols] for u in cols
+    ]
+
+
 def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     """Canonical row sequences of a pinned problem, one per solution.
 
@@ -433,17 +444,20 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     list, sorted decreasing: the zero row alone for forced zero rows,
     otherwise the full pool, with the zero row sorted in when zero rows are
     allowed. A diagonal constraint keeps the rows whose contribution
-    defect_order * r.adj(C).r^t / det C is the prescribed entry. The columns
-    of the fixed blocks go to the kernel as orthogonality constraints. The
-    kernel walks both signs of every row, and each emitted sequence is
-    canonicalized under every pattern and deduplicated.
+    defect_order * r.adj(C).r^t / det C is the prescribed entry. The fixed
+    blocks, side by side, form a k x m matrix U: every candidate of a group
+    gets the group's row of U appended (the rows of a group agree on it),
+    and the kernel searches against diag(C, U^t U) (``_with_columns``). It
+    walks both signs of every row; each emitted sequence is cut back to its
+    first l entries, canonicalized under every pattern and deduplicated.
     """
     c = p.target_gram
     k = p.pinned_row_count()
     if k is None:
         raise InvariantError("internal: pinned problem without a row count")
+    l = c.col_count
     pool = _row_pool(c, p.signed)
-    zero = (0,) * c.col_count
+    zero = (0,) * l
     if not p.require_nonzero_rows:
         pool = sorted(pool + [zero], reverse=True)
     adj, d = adjugate_and_det(c)
@@ -451,20 +465,22 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     groups = _row_groups(p, k)
     slots: list[list[Row]] = [[] for _ in range(k)]
     for g in groups:
-        opts = [zero] if g[0] in p.zero_rows else list(pool)
+        opts = [zero] if g[0] in p.zero_rows else pool
         if p.diag_constraints is not None:
             want = p.diag_constraints[g[0]] * d
             opts = [r for r in opts if forms[r, r] * p.defect_order == want]
+        u = tuple(x for b in p.fixed_blocks for x in b.rows[g[0]])
+        opts = [r + u for r in opts]
         for i in g:
             slots[i] = opts
-    cols = [
-        tuple(b.rows[i][u] for i in range(k))
-        for b in p.fixed_blocks
-        for u in range(b.col_count)
-    ]
-    patterns = _sign_patterns(c) if p.signed else [(1,) * c.col_count]
-    found = _kernel.search_rows(c.to_lists(), slots, k, cols)
-    return list(dict.fromkeys(_canonicalize(rows, groups, patterns) for rows in found))
+    cols = [col for b in p.fixed_blocks for col in zip(*b.rows)]
+    patterns = _sign_patterns(c) if p.signed else [(1,) * l]
+    found = _kernel.search_rows(_with_columns(c.rows, cols), slots, k)
+    return list(
+        dict.fromkeys(
+            _canonicalize([r[:l] for r in rows], groups, patterns) for rows in found
+        )
+    )
 
 
 def _arrangements(rep: Sequence[int]) -> list[tuple[int, ...]]:
@@ -498,14 +514,15 @@ def solve_orthogonal_column(
     decreasing.
 
     Forced zero entries are respected; in signed mode the result is reported
-    up to global sign (first nonzero entry positive). Permuting the entries
-    of v among indices whose q1 row and zero-row flag agree keeps v.v and
-    q1^t v, so the search places the entries of one such class after
-    another, nonincreasing within each class, and every column it finds is
-    expanded to all distinct arrangements of each class's entries over that
-    class's indices. The search admits both signs; of v and -v the
-    expansion keeps the one whose first nonzero entry is positive. An empty
-    list means the constraints are proved unsatisfiable.
+    up to global sign (first nonzero entry positive). This is a pinned Gram
+    problem of one column: the kernel searches one row (v_i, *q1_i) per free
+    index i against diag([[gram_value]], q1^t q1 over the free indices).
+    Indices with equal q1 rows are interchangeable, so each class of them
+    shares one candidate list, its entries are searched nonincreasingly, and
+    every column found is expanded to all distinct arrangements of each
+    class's entries over that class's indices. The search admits both signs;
+    of v and -v the expansion keeps the one whose first nonzero entry is
+    positive. An empty list means the constraints are proved unsatisfiable.
     """
     if gram_value <= 0:
         raise GramInputError("gram value must be positive")
@@ -513,46 +530,24 @@ def solve_orthogonal_column(
     k = q1.row_count
     if any(i < 0 or i >= k for i in zero_rows):
         raise GramInputError("zero-row index out of range")
-    # a forced-zero class holds zeros only, so only the free indices are
-    # walked, in classes of equal rows
+    # a forced-zero index holds 0, so only the free indices are searched,
+    # in classes of equal rows
     classes: dict[Row, list[int]] = {}
     for i in range(k):
         if i not in zero_rows:
             classes.setdefault(q1.rows[i], []).append(i)
     order = [i for members in classes.values() for i in members]
-    n = len(order)
-    shared = [t > 0 for members in classes.values() for t in range(len(members))]
-    cols = [tuple(q1.rows[i][u] for i in order) for u in range(q1.col_count)]
-    suffix_sq = [
-        [sum(col[t] * col[t] for t in range(i, n)) for i in range(n + 1)]
-        for col in cols
-    ]
-    found: list[tuple[int, ...]] = []
-    entry: list[int] = []
-
-    def place(t: int, remaining: int, dots: list[int]) -> None:
-        if t == n:
-            if remaining == 0 and not any(dots):
-                found.append(tuple(entry))
-            return
-        b = isqrt(remaining)
-        top = min(b, entry[-1]) if shared[t] else b
-        for x in range(-b if signed else 0, top + 1):
-            rem = remaining - x * x
-            new_dots = [s + col[t] * x for s, col in zip(dots, cols)]
-            if any(
-                s * s > suffix_sq[u][t + 1] * rem
-                for u, s in enumerate(new_dots)
-            ):
-                continue
-            entry.append(x)
-            place(t + 1, rem, new_dots)
-            entry.pop()
-
-    place(0, gram_value, [0] * len(cols))
-    spans = list(itertools.accumulate((len(m) for m in classes.values()), initial=0))
+    bound = isqrt(gram_value)
+    entries = range(bound, -bound - 1 if signed else -1, -1)
+    slots: list[list[Row]] = []
+    for row, members in classes.items():
+        slots += [[(x, *row) for x in entries]] * len(members)
+    target = _with_columns([[gram_value]], list(zip(*(q1.rows[i] for i in order))))
+    found = _kernel.search_rows(target, slots, len(order))
+    spans = list(itertools.accumulate(map(len, classes.values()), initial=0))
     out: list[tuple[int, ...]] = []
-    for rep in found:
+    for rows in found:
+        rep = [r[0] for r in rows]
         for parts in itertools.product(
             *(_arrangements(rep[a:b]) for a, b in itertools.pairwise(spans))
         ):

@@ -501,7 +501,10 @@ def unpruned_search_rows(c, slots, min_rows, cols=()) -> list:
     """The Gram-search kernel as it was before the reach prune: the same
     slots, emission rule, diagonal bound, Cauchy-Schwarz prune on the cross
     sums and PSD test on the residual, and nothing else. Its output, order
-    included, is what ``blocksmith._kernel.search_rows`` must return."""
+    included, is what ``blocksmith._kernel.search_rows`` must return; with
+    fixed columns ``cols``, the kernel gets them as coordinates instead
+    (the rows (r | u_i) against diag(C, U^t U)), and its sequences cut back
+    to the first l entries must be these."""
     from blocksmith.intmat import psd_rank
 
     l = len(c)
@@ -552,8 +555,10 @@ def expanding_solve(p) -> list:
     pattern S with S C S = C and the allowed row permutations, and the
     distinct forms are sorted by (row count, repr).
 
-    Uses the package's row pool, kernel and row bound; the expansion,
-    zero-row padding, canonical form and dedupe are the replaced code."""
+    Uses the package's row pool, kernel (free problems) and row bound; a
+    pinned problem goes through ``unpruned_search_rows`` with its fixed
+    columns as cross sums. The expansion, zero-row padding, canonical form
+    and dedupe are the replaced code."""
     from blocksmith import _kernel
     from blocksmith.gram import _row_pool, row_quad
     from blocksmith.intmat import adjugate_and_det
@@ -599,7 +604,7 @@ def expanding_solve(p) -> list:
             for b in p.fixed_blocks
             for u in range(b.col_count)
         ]
-        raw = _kernel.search_rows(c.to_lists(), slots, k, cols)
+        raw = unpruned_search_rows(c.to_lists(), slots, k, cols)
     else:
         if p.signed:
             pool = [r for r in pool if next(x for x in r if x) > 0]

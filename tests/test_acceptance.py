@@ -158,9 +158,7 @@ def test_criterion_5_orthogonal_columns_and_displayed_arrangement():
     )
     block = M([[7, 1, 0], [1, 4, 0], [0, 0, 9]])
     problem = GramProblem(target_gram=block, sign_mode="signed", row_count=7)
-    assert verify_solution(
-        problem, GramSolution(q=q_full, canonical_key=b"displayed")
-    )
+    assert verify_solution(problem, GramSolution(q=q_full))
     full_diag = contribution_matrix(q_full, block, 27).diagonal
     assert complement_diag(full_diag, 27) == (8, 20, 20, 8, 17, 17, 18)
     done(5)

@@ -371,18 +371,14 @@ def test_verify_solution_rejects_wrong_answers():
     p = GramProblem(target_gram=c)
     good = solve(p)[0]
     assert verify_solution(p, good)
-    wrong_gram = GramSolution(q=M([[1, 0], [0, 1]]), canonical_key=b"")
+    wrong_gram = GramSolution(q=M([[1, 0], [0, 1]]))
     assert not verify_solution(p, wrong_gram)
-    negative = GramSolution(
-        q=M([[2, 1], [-1, 0], [0, 1], [0, 1], [0, 1]]), canonical_key=b""
-    )
+    negative = GramSolution(q=M([[2, 1], [-1, 0], [0, 1], [0, 1], [0, 1]]))
     assert not verify_solution(p, negative)
-    zero_row = GramSolution(
-        q=M([[2, 1], [1, 0], [0, 1], [0, 1], [0, 1], [0, 0]]), canonical_key=b""
-    )
+    zero_row = GramSolution(q=M([[2, 1], [1, 0], [0, 1], [0, 1], [0, 1], [0, 0]]))
     assert not verify_solution(p, zero_row)
     # the Gram matrix is right, but row (1, 2) has r.adj(C).r^t = det C = 16
-    saturated = GramSolution(q=M([[2, 0], [1, 2]]), canonical_key=b"")
+    saturated = GramSolution(q=M([[2, 0], [1, 2]]))
     assert saturated.q.transpose().matmul(saturated.q) == c
     assert not verify_solution(p, saturated)
     # row counts: exact, and a window
@@ -391,7 +387,7 @@ def test_verify_solution_rejects_wrong_answers():
     assert verify_solution(GramProblem(target_gram=c, row_count=(4, 6)), good)
     assert not verify_solution(GramProblem(target_gram=c, row_count=(6, 9)), good)
     # a forced zero row that is not zero
-    padded = GramSolution(q=M(list(good.q.rows) + [[0, 0]]), canonical_key=b"")
+    padded = GramSolution(q=M(list(good.q.rows) + [[0, 0]]))
 
     def pinned(**kw):
         return GramProblem(
@@ -578,7 +574,7 @@ def test_row_form_readers_match_plain_products(targets, data):
                         diag_constraints=diag,
                         defect_order=defect_order if diag else None,
                     )
-                    s = GramSolution(q=M(rows), canonical_key=b"")
+                    s = GramSolution(q=M(rows))
                     assert verify_solution(p, s) == plain_verify(
                         rows, c, adj, d, signed=signed, require_nonzero_rows=nonzero,
                         diag=diag, defect_order=defect_order,

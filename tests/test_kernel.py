@@ -3,6 +3,7 @@ the sign classes built from its sequences."""
 
 import itertools
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -149,7 +150,11 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
     """Pinned problems: each row group has its own list (the zero row
     alone, the rows of a box with or without the zero row, or a subset of
     them), groups need not be consecutive, and fixed columns are mostly
-    drawn orthogonal to a known solution Q0."""
+    drawn orthogonal to a known solution Q0. The columns are equal along
+    each run of slots sharing a list, so those slots stay interchangeable;
+    the kernel gets them as coordinates appended to each slot's rows,
+    against the target diag(C, U^t U), and its sequences cut back to l
+    entries are those of the cross-sum search."""
     draw = data.draw
     l = draw(st.integers(1, 2))
     k = draw(st.integers(1, 4))
@@ -172,7 +177,10 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
             keep = draw(st.randoms(use_true_random=False))
             lists[g] = [r for r in full if r in q0 or keep.random() < 0.5]
     slots = [lists[draw(st.sampled_from(sorted(lists)))] for _ in range(k)]
-    vectors = list(itertools.product((-1, 0, 1), repeat=k))
+    vectors = [
+        v for v in itertools.product((-1, 0, 1), repeat=k)
+        if all(v[i] == v[i - 1] for i in range(1, k) if slots[i] is slots[i - 1])
+    ]
     orthogonal = [
         v for v in vectors
         if all(sum(v[t] * q0[t][j] for t in range(k)) == 0 for j in range(l))
@@ -181,7 +189,16 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
         draw(st.sampled_from(orthogonal if draw(st.booleans()) else vectors))
         for _ in range(draw(st.integers(0, 2)))
     ]
-    assert _kernel.search_rows(c, slots, k, cols) == unpruned_search_rows(
+    augmented = {}
+    aug_slots = []
+    for i, cands in enumerate(slots):
+        u = tuple(col[i] for col in cols)
+        aug_slots.append(augmented.setdefault((id(cands), u), [r + u for r in cands]))
+    target = [row + [0] * len(cols) for row in c] + [
+        [0] * l + [sum(map(mul, u, v)) for v in cols] for u in cols
+    ]
+    found = _kernel.search_rows(target, aug_slots, k)
+    assert [tuple(r[:l] for r in rows) for rows in found] == unpruned_search_rows(
         c, slots, k, cols
     )
 
@@ -279,21 +296,27 @@ def test_sign_classes_match_expanding_solve_pinned(data):
     assert solved_rows(problem) == expanding_solve(problem)
 
 
+def count_psd_checks(monkeypatch) -> list[int]:
+    """Counts the kernel's PSD tests from here on, in the one entry of the
+    returned list."""
+    checks = [0]
+    is_psd = _kernel_py._is_psd
+
+    def counting_is_psd(a):
+        checks[0] += 1
+        return is_psd(a)
+
+    monkeypatch.setattr(_kernel_py, "_is_psd", counting_is_psd)
+    return checks
+
+
 # PSD checks of the nonnegative solves of the 72 feasible candidates of
 # entry sums 13..16. Without the reach prune the kernel made 11,852.
 PSD_CHECK_CEILING = 981
 
 
 def test_reach_prune_keeps_psd_checks_down(monkeypatch):
-    checks = 0
-    is_psd = _kernel_py._is_psd
-
-    def counting_is_psd(a):
-        nonlocal checks
-        checks += 1
-        return is_psd(a)
-
-    monkeypatch.setattr(_kernel_py, "_is_psd", counting_is_psd)
+    checks = count_psd_checks(monkeypatch)
     for n in range(13, 17):
         size = 1
         while min_sum_for_l(size + 1) <= n:
@@ -302,4 +325,26 @@ def test_reach_prune_keeps_psd_checks_down(monkeypatch):
             for cand in enumerate_cartan(n, l):
                 if filter_block_feasible(cand).feasible:
                     solve(GramProblem(cand.matrix))
-    assert checks <= PSD_CHECK_CEILING
+    assert checks[0] <= PSD_CHECK_CEILING
+
+
+# PSD checks of the pinned signed solve of casebook rule d13-27-d8-fake.
+# With the fixed columns kept as cross sums under a Cauchy-Schwarz prune,
+# instead of as coordinates of the rows, the kernel made 734.
+FIXED_COLUMNS_PSD_CEILING = 468
+
+
+def test_fixed_columns_as_coordinates_keep_psd_checks_down(monkeypatch):
+    """The target [[5,1],[1,2]] against the 10-row Q1 of rule d13-27-solve,
+    signed, zero rows allowed: the PSD test on the residual of the rows
+    (r | u_i) also prunes on the cross sums."""
+    q10 = [[1, 1]] + [[1, 0]] * 6 + [[0, 1]] * 3
+    problem = GramProblem(
+        target_gram=IntMatrix.from_rows([[5, 1], [1, 2]]),
+        sign_mode="signed",
+        require_nonzero_rows=False,
+        fixed_blocks=(IntMatrix.from_rows(q10),),
+    )
+    checks = count_psd_checks(monkeypatch)
+    assert len(solve(problem)) == 4
+    assert checks[0] <= FIXED_COLUMNS_PSD_CEILING
