@@ -25,12 +25,18 @@ nonzero residual entry must have the sign of r_i r_j for some row r that a
 completion may still add. A completion adds rows only from the current list
 from the current index on (while the run of slots sharing that list goes on)
 and from the full lists of the slots after that run, so a node failing the
-test has no completion. Both sets are bitmasks precomputed once per call.
+test has no completion. The residual is a flat list over the upper triangle
+and each candidate's products r_i r_j are computed once per call, so a child
+residual is one list subtraction, and the reach test compares it with two
+integer bound vectors kept per set of reachable signs; only a child that
+passes is unfolded into full rows for the PSD test.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import gt, itemgetter, lt, sub
+from typing import Sequence
 
 from .intmat import psd_rank
 
@@ -38,20 +44,6 @@ Row = tuple[int, ...]
 
 # looked up at every check, so that a caller can count the checks
 _is_psd = psd_rank
-
-
-def _sign_mask(values: Iterable[int]) -> int:
-    """Two bits per value, in order: the low one set if the value is
-    positive, the high one if it is negative."""
-    mask = 0
-    bit = 1
-    for x in values:
-        if x > 0:
-            mask |= bit
-        elif x < 0:
-            mask |= bit << 1
-        bit <<= 2
-    return mask
 
 
 def search_rows(
@@ -78,63 +70,82 @@ def search_rows(
     remaining rows come from ``slots[t][idx:]`` (if slot t + 1 shares the
     list) and from the full lists of the slots after t's shared run, so
     R'_ij is a sum of r_i r_j over those rows: R'_ij > 0 needs one of them
-    with r_i r_j > 0, and R'_ij < 0 one with r_i r_j < 0. The sign masks
-    of those rows (``_sign_mask``) are precomputed as suffix unions per
-    distinct list and unions per run end; the pruned nodes have no
-    completion, so the emitted list is the same, in the same order.
+    with r_i r_j > 0, and R'_ij < 0 one with r_i r_j < 0. The products of
+    each distinct list are computed once per call, and their sign masks
+    unioned per suffix and per run end; the pruned nodes have no completion,
+    so the emitted list is the same, in the same order. No product r_j^2 is
+    negative, so the test also drops every row with r_j^2 > R_jj, and no
+    separate diagonal bound is kept. R' is the flat parent residual minus
+    the row's flat products; it is unfolded into full rows only for the PSD
+    test, once it has passed the reach test.
     """
     l = len(c)
     k = len(slots)
     shared = [i > 0 and slots[i] is slots[i - 1] for i in range(k)]
-    # suffix[id(s)][idx]: union of the sign masks of r^t r over r in s[idx:],
-    # one pair of bits per entry i <= j in row-major order
+    pairs = [(i, j) for i in range(l) for j in range(i, l)]
+    root = [c[i][j] for i, j in pairs]
+    # full row i of a flat residual (itemgetter of one index gives no tuple)
+    rows = [
+        itemgetter(*[pairs.index((min(i, j), max(i, j))) for j in range(l)])
+        if l > 1 else itemgetter(slice(0, 1))
+        for i in range(l)
+    ]
+    # products[id(s)][idx]: r_i r_j over the pairs for r = s[idx];
+    # suffix[id(s)][idx]: union over s[idx:] of their sign masks, two bits
+    # per pair (the low one for a positive product, the high one a negative)
+    products: dict[int, list[list[int]]] = {}
     suffix: dict[int, list[int]] = {}
     for cands in slots:
-        if id(cands) not in suffix:
-            masks = [0] * (len(cands) + 1)
+        if id(cands) not in products:
+            prods = products[id(cands)] = [[r[i] * r[j] for i, j in pairs] for r in cands]
+            masks = suffix[id(cands)] = [0] * (len(cands) + 1)
             for idx in range(len(cands) - 1, -1, -1):
-                r = cands[idx]
-                products = (ri * rj for i, ri in enumerate(r) for rj in r[i:])
-                masks[idx] = masks[idx + 1] | _sign_mask(products)
-            suffix[id(cands)] = masks
+                signs = (
+                    (1 if x > 0 else 2 if x < 0 else 0) << 2 * t
+                    for t, x in enumerate(prods[idx])
+                )
+                masks[idx] = masks[idx + 1] | sum(signs)
     # later[t]: union of the full lists of the slots after t's shared run
     later = [0] * k
     beyond = 0
     for t in range(k - 1, -1, -1):
         later[t] = later[t + 1] if t + 1 < k and shared[t + 1] else beyond
         beyond |= suffix[id(slots[t])][0]
+    # beyond every child residual entry: a parent residual is C or PSD, so
+    # bounded by max |C|, and a child subtracts one product vector from it
+    big = 1 + 2 * max(map(abs, chain(root, *chain(*products.values()))), default=0)
+    # reach mask -> the least and greatest child residual entries it allows
+    bounds: dict[int, tuple[list[int], list[int]]] = {}
     found: list[tuple[Row, ...]] = []
     chosen: list[Row] = []
 
-    def recurse(res: list[list[int]], start: int) -> None:
+    def recurse(res: list[int], start: int) -> None:
         depth = len(chosen)
-        if depth >= min_rows and not any(map(any, res)):
+        if depth >= min_rows and not any(res):
             found.append(tuple(chosen))
             return
         if depth == k:
             return
         cands = slots[depth]
+        prods = products[id(cands)]
         rest = later[depth]
         own = suffix[id(cands)] if depth + 1 < k and shared[depth + 1] else None
         for idx in range(start if shared[depth] else 0, len(cands)):
-            r = cands[idx]
-            for j in range(l):
-                if r[j] * r[j] > res[j][j]:
-                    break
-            else:
-                new_res = [
-                    [x - ri * rj for x, rj in zip(row, r)]
-                    for row, ri in zip(res, r)
-                ]
-                need = _sign_mask(x for i, row in enumerate(new_res) for x in row[i:])
-                reach = (rest | own[idx]) if own else rest
-                if need & ~reach:
-                    continue
-                if _is_psd([row[:] for row in new_res]) is None:
-                    continue
-                chosen.append(r)
-                recurse(new_res, idx)
-                chosen.pop()
+            reach = rest | own[idx] if own else rest
+            if reach not in bounds:
+                bounds[reach] = (
+                    [-big if reach >> 2 * t & 2 else 0 for t in range(len(res))],
+                    [big if reach >> 2 * t & 1 else 0 for t in range(len(res))],
+                )
+            lo, hi = bounds[reach]
+            new_res = list(map(sub, res, prods[idx]))
+            if any(map(lt, new_res, lo)) or any(map(gt, new_res, hi)):
+                continue
+            if _is_psd([[*row(new_res)] for row in rows]) is None:
+                continue
+            chosen.append(cands[idx])
+            recurse(new_res, idx)
+            chosen.pop()
 
-    recurse([list(row) for row in c], 0)
+    recurse(root, 0)
     return found

@@ -629,6 +629,26 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_floating_point_in_the_package():
+    # intmat and the README promise exact arithmetic: no float constant, no
+    # true division, no float() and no infinity anywhere in the package
+    package = Path(blocksmith.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert package / "_kernel_py.py" in sources
+    names = {"float", "inf"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
+    ]
+    assert found == []
+
+
 def test_invariant_checks_run_under_optimize():
     code = """
 from blocksmith import InvariantError, IntMatrix, contrib, gram

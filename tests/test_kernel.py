@@ -145,6 +145,24 @@ def test_reach_prune_matches_unpruned_free_search(data):
     assert _kernel.search_rows(c, slots, lo) == unpruned_search_rows(c, slots, lo)
 
 
+def search_with_columns(c, slots, min_rows, cols):
+    """The kernel's sequences for the slots of C with fixed columns ``cols``
+    (each of length len(slots)), cut back to l entries per row: it gets the
+    columns as coordinates u_i appended to the rows of slot i, one list per
+    list object and u_i, against the target diag(C, U^t U)."""
+    l = len(c)
+    augmented = {}
+    aug_slots = []
+    for i, cands in enumerate(slots):
+        u = tuple(col[i] for col in cols)
+        aug_slots.append(augmented.setdefault((id(cands), u), [r + u for r in cands]))
+    target = [list(row) + [0] * len(cols) for row in c] + [
+        [0] * l + [sum(map(mul, u, v)) for v in cols] for u in cols
+    ]
+    found = _kernel.search_rows(target, aug_slots, min_rows)
+    return [tuple(r[:l] for r in rows) for rows in found]
+
+
 @given(st.data())
 def test_reach_prune_matches_unpruned_pinned_search(data):
     """Pinned problems: each row group has its own list (the zero row
@@ -189,18 +207,59 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
         draw(st.sampled_from(orthogonal if draw(st.booleans()) else vectors))
         for _ in range(draw(st.integers(0, 2)))
     ]
-    augmented = {}
-    aug_slots = []
-    for i, cands in enumerate(slots):
-        u = tuple(col[i] for col in cols)
-        aug_slots.append(augmented.setdefault((id(cands), u), [r + u for r in cands]))
-    target = [row + [0] * len(cols) for row in c] + [
-        [0] * l + [sum(map(mul, u, v)) for v in cols] for u in cols
-    ]
-    found = _kernel.search_rows(target, aug_slots, k)
-    assert [tuple(r[:l] for r in rows) for rows in found] == unpruned_search_rows(
+    assert search_with_columns(c, slots, k, cols) == unpruned_search_rows(
         c, slots, k, cols
     )
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_one_by_one_targets_match_unpruned_search(n, signed):
+    """l = 1: a flat residual of one entry and a full row of one index, with
+    and without the zero row, slots sharing one list or each its own."""
+    c = [[n]]
+    for pool in (box(c, signed), _row_pool(IntMatrix.from_rows(c), signed)):
+        for k in (1, 2, 3, n, n + 1):
+            shapes = [[pool] * k] + ([[list(pool) for _ in range(k)]] if k <= 3 else [])
+            for slots in shapes:
+                for lo in sorted({1, (k + 1) // 2, k}):
+                    assert _kernel.search_rows(c, slots, lo) == unpruned_search_rows(
+                        c, slots, lo
+                    )
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize(
+    "target",
+    [[[0, 0], [0, 0]], [[4, 2], [2, 1]], [[1, -1], [-1, 1]], [[5, 2], [2, 4]],
+     [[4, 2, 0], [2, 1, 0], [0, 0, 0]]],
+)
+def test_single_slot_matches_unpruned_search(target, signed):
+    """One slot: a sequence is a single row with r^t r = C (or none at all
+    when C = 0 and no row is needed)."""
+    slots = [box(target, signed)]
+    for lo in (0, 1):
+        found = _kernel.search_rows(target, slots, lo)
+        assert found == unpruned_search_rows(target, slots, lo)
+        assert all(gram_of(rows, len(target)) == target for rows in found)
+
+
+def test_fixed_coordinates_past_two_to_the_53_match_unpruned_search():
+    """The pinned signed search of casebook rule d13-27-d8-fake with its
+    10-row Q1 scaled by 3**40: the fixed coordinates, the U^t U block of the
+    target and the residual entries all pass 2**53, where a float would
+    round. Orthogonality to Q1 does not depend on the scale, so the
+    sequences are those of the unscaled search and of the cross-sum one."""
+    c = [[5, 1], [1, 2]]
+    q1 = [(1, 1)] + [(1, 0)] * 6 + [(0, 1)] * 3
+    lists = {}
+    slots = [lists.setdefault(row, box(c, True)) for row in q1]
+    k = len(slots)
+    expected = unpruned_search_rows(c, slots, k, list(zip(*q1)))
+    assert expected
+    for scale in (1, 3**40):
+        cols = [[scale * x for x in col] for col in zip(*q1)]
+        assert search_with_columns(c, slots, k, cols) == expected
 
 
 def drawn_q0(draw, l, k_max):
