@@ -1,18 +1,20 @@
 """Pure-Python Gram-decomposition kernel: the one row search of the package.
 
 Enumerates every way to write a symmetric positive semidefinite integer
-matrix C as a sum of rank-one products r^t r, one row r per slot, in the
-manner of Plesken's short-vector search ("Solving XX^tr = A over the
-integers", Linear Algebra Appl. 226-228, 1995). Slot i draws from its own
-candidate list; a free problem gives every slot the same pool, a pinned
-problem gives each group of interchangeable rows its own list.
+matrix C as a sum of rank-one products r^t r, in the manner of Plesken's
+short-vector search ("Solving XX^tr = A over the integers", Linear Algebra
+Appl. 226-228, 1995). The rows come in runs: a run ``(candidates, count)``
+is ``count`` interchangeable rows drawn from one list, filled
+nonincreasingly, so each multiset of them is searched once. A free problem
+is one run over the pool, a pinned problem one run per group of
+interchangeable rows, an orthogonal column one run per class of equal rows.
 
 Fixed columns are coordinates, not a separate constraint: a caller with a
 k x m matrix U that the rows must be orthogonal to appends row u_i of U to
-every candidate of slot i and searches against diag(C, U^t U). A sequence
-of rows (r_i | u_i) sums to that target exactly when sum r_i^t r_i = C and
-sum u_i^t r_i = 0, and the PSD and reach tests below then also prune on the
-cross sums.
+every candidate of row i (so the rows of a run must agree on it) and
+searches against diag(C, U^t U). A sequence of rows (r_i | u_i) sums to
+that target exactly when sum r_i^t r_i = C and sum u_i^t r_i = 0, and the
+PSD and reach tests below then also prune on the cross sums.
 
 Since r^t r = (-r)^t (-r), a signed free search need not walk both signs of
 a row: ``gram._solve_free`` passes only the sign representatives (rows whose
@@ -20,16 +22,15 @@ first nonzero entry is positive) and expands the sign choices of each
 emitted sequence itself. The kernel does not depend on that; it searches
 whatever lists it is given.
 
-Besides the PSD test on the residual, each node passes a reach test: every
-nonzero residual entry must have the sign of r_i r_j for some row r that a
-completion may still add. A completion adds rows only from the current list
-from the current index on (while the run of slots sharing that list goes on)
-and from the full lists of the slots after that run, so a node failing the
-test has no completion. The residual is a flat list over the upper triangle
-and each candidate's products r_i r_j are computed once per call, so a child
-residual is one list subtraction, and the reach test compares it with two
-integer bound vectors kept per set of reachable signs; only a child that
-passes is unfolded into full rows for the PSD test.
+The walk keeps an explicit stack, one generator of children per node on
+the current path, so the number of rows it can place is bounded by memory,
+not by the interpreter's recursion limit; and no list is sized by a run's
+count. Besides the PSD test on the residual, each child passes a reach test
+and a row-count test (``search_rows``). The residual is a flat list over
+the upper triangle and each candidate's products r_i r_j are computed once
+per call, so a child residual is one list subtraction, and the reach test
+compares it with two integer bound vectors kept per set of reachable signs;
+only a child that passes is unfolded into full rows for the PSD test.
 """
 
 from __future__ import annotations
@@ -48,41 +49,36 @@ _is_psd = psd_rank
 
 def search_rows(
     c: Sequence[Sequence[int]],
-    slots: Sequence[Sequence[Row]],
+    runs: Sequence[tuple[Sequence[Row], int]],
     min_rows: int,
 ) -> list[tuple[Row, ...]]:
-    """All row sequences, one row from each leading slot, whose rank-one
-    sums equal C.
+    """All row sequences, filled run by run, whose rank-one sums equal C.
 
-    ``slots[i]`` lists the candidates of row i in decreasing lexicographic
-    order. Consecutive slots given the same list object must hold
-    interchangeable rows (for fixed columns: equal rows of U, so equal
-    appended coordinates); they are filled nonincreasingly, so each multiset
-    of their rows is emitted once. A sequence is emitted as soon as it has
-    at least ``min_rows`` rows and the residual C - sum(r^t r) is zero.
+    Each run is ``(candidates, count)``: ``count`` rows from ``candidates``,
+    which lists them in decreasing lexicographic order, placed
+    nonincreasingly. A sequence is emitted as soon as it has at least
+    ``min_rows`` rows and the residual C - sum(r^t r) is zero. The residual
+    is kept positive semidefinite at every step, which both prunes and
+    proves completeness (a residual that is not PSD admits no further
+    decomposition).
 
-    The residual is kept positive semidefinite at every step, which both
-    prunes and proves completeness (a residual that is not PSD admits no
-    further decomposition).
-
-    Before the PSD test, a row is also pruned when its child residual R' has
-    an entry no completion can reach. After row ``idx`` of slot t, the
-    remaining rows come from ``slots[t][idx:]`` (if slot t + 1 shares the
-    list) and from the full lists of the slots after t's shared run, so
-    R'_ij is a sum of r_i r_j over those rows: R'_ij > 0 needs one of them
-    with r_i r_j > 0, and R'_ij < 0 one with r_i r_j < 0. The products of
-    each distinct list are computed once per call, and their sign masks
-    unioned per suffix and per run end; the pruned nodes have no completion,
-    so the emitted list is the same, in the same order. No product r_j^2 is
-    negative, so the test also drops every row with r_j^2 > R_jj, and no
-    separate diagonal bound is kept. R' is the flat parent residual minus
-    the row's flat products; it is unfolded into full rows only for the PSD
-    test, once it has passed the reach test.
+    Two tests drop a child residual R' before its PSD test; the nodes they
+    drop have no completion, so the emitted list is the same, in the same
+    order. Reach: after row ``idx`` of run t, the remaining rows come from
+    ``candidates[idx:]`` (while run t has rows left) and from the full lists
+    of the runs after t, so R'_ij > 0 needs one of them with r_i r_j > 0,
+    and R'_ij < 0 one with r_i r_j < 0. The sign masks of the products are
+    unioned per suffix and per run. No r_j^2 is negative, so this also drops
+    every row with r_j^2 > R_jj. Row count: when no list from run t on holds
+    the zero row, each row still to come takes at least 1 of the trace, so
+    a child at depth d with trace below ``min_rows`` - d is dropped, and the
+    root is checked the same way.
     """
     l = len(c)
-    k = len(slots)
-    shared = [i > 0 and slots[i] is slots[i - 1] for i in range(k)]
+    runs = [(cands, n) for cands, n in runs if n > 0]
+    k = sum(n for _, n in runs)
     pairs = [(i, j) for i in range(l) for j in range(i, l)]
+    diagonal = [pairs.index((i, i)) for i in range(l)]
     root = [c[i][j] for i, j in pairs]
     # full row i of a flat residual (itemgetter of one index gives no tuple)
     rows = [
@@ -90,62 +86,78 @@ def search_rows(
         if l > 1 else itemgetter(slice(0, 1))
         for i in range(l)
     ]
-    # products[id(s)][idx]: r_i r_j over the pairs for r = s[idx];
-    # suffix[id(s)][idx]: union over s[idx:] of their sign masks, two bits
-    # per pair (the low one for a positive product, the high one a negative)
-    products: dict[int, list[list[int]]] = {}
-    suffix: dict[int, list[int]] = {}
-    for cands in slots:
-        if id(cands) not in products:
-            prods = products[id(cands)] = [[r[i] * r[j] for i, j in pairs] for r in cands]
-            masks = suffix[id(cands)] = [0] * (len(cands) + 1)
-            for idx in range(len(cands) - 1, -1, -1):
-                signs = (
-                    (1 if x > 0 else 2 if x < 0 else 0) << 2 * t
-                    for t, x in enumerate(prods[idx])
-                )
-                masks[idx] = masks[idx + 1] | sum(signs)
-    # later[t]: union of the full lists of the slots after t's shared run
-    later = [0] * k
-    beyond = 0
-    for t in range(k - 1, -1, -1):
-        later[t] = later[t + 1] if t + 1 < k and shared[t + 1] else beyond
-        beyond |= suffix[id(slots[t])][0]
+    # products[t][idx]: r_i r_j over the pairs for row idx of run t;
+    # suffix[t][idx]: union over the rows from idx on of their sign masks,
+    # two bits per pair (the low one for a positive product, the high one a
+    # negative); after[t]: union of the full lists of runs t and on;
+    # nonzero[t]: no list of runs t and on holds the zero row
+    products = [[[r[i] * r[j] for i, j in pairs] for r in cands] for cands, _ in runs]
+    suffix: list[list[int]] = []
+    for prods in products:
+        masks = [0] * (len(prods) + 1)
+        for idx in range(len(prods) - 1, -1, -1):
+            signs = (
+                (1 if x > 0 else 2 if x < 0 else 0) << 2 * u
+                for u, x in enumerate(prods[idx])
+            )
+            masks[idx] = masks[idx + 1] | sum(signs)
+        suffix.append(masks)
+    after, nonzero = [0] * (len(runs) + 1), [True] * (len(runs) + 1)
+    for t in range(len(runs) - 1, -1, -1):
+        after[t] = after[t + 1] | suffix[t][0]
+        nonzero[t] = nonzero[t + 1] and all(map(any, runs[t][0]))
     # beyond every child residual entry: a parent residual is C or PSD, so
     # bounded by max |C|, and a child subtracts one product vector from it
-    big = 1 + 2 * max(map(abs, chain(root, *chain(*products.values()))), default=0)
+    big = 1 + 2 * max(map(abs, chain(root, *chain(*products))), default=0)
     # reach mask -> the least and greatest child residual entries it allows
     bounds: dict[int, tuple[list[int], list[int]]] = {}
     found: list[tuple[Row, ...]] = []
     chosen: list[Row] = []
 
-    def recurse(res: list[int], start: int) -> None:
-        depth = len(chosen)
-        if depth >= min_rows and not any(res):
-            found.append(tuple(chosen))
-            return
-        if depth == k:
-            return
-        cands = slots[depth]
-        prods = products[id(cands)]
-        rest = later[depth]
-        own = suffix[id(cands)] if depth + 1 < k and shared[depth + 1] else None
-        for idx in range(start if shared[depth] else 0, len(cands)):
+    def children(res: list[int], depth: int, t: int, left: int, start: int):
+        """Walks the children of the node at ``depth`` whose rows are
+        ``chosen`` and whose next row is one of the ``left`` rows still open
+        in run t, from index ``start`` on (with none left, run t + 1's): it
+        emits each finished child and yields the walk of each other one."""
+        if not left:
+            t, left, start = t + 1, runs[t + 1][1], 0
+        cands, prods, rest = runs[t][0], products[t], after[t + 1]
+        own = suffix[t] if left > 1 else None
+        depth += 1  # of each child
+        need = min_rows - depth if nonzero[t] else 0
+        for idx in range(start, len(cands)):
             reach = rest | own[idx] if own else rest
             if reach not in bounds:
                 bounds[reach] = (
-                    [-big if reach >> 2 * t & 2 else 0 for t in range(len(res))],
-                    [big if reach >> 2 * t & 1 else 0 for t in range(len(res))],
+                    [-big if reach >> 2 * u & 2 else 0 for u in range(len(res))],
+                    [big if reach >> 2 * u & 1 else 0 for u in range(len(res))],
                 )
             lo, hi = bounds[reach]
             new_res = list(map(sub, res, prods[idx]))
             if any(map(lt, new_res, lo)) or any(map(gt, new_res, hi)):
                 continue
+            if need > 0 and sum(map(new_res.__getitem__, diagonal)) < need:
+                continue
             if _is_psd([[*row(new_res)] for row in rows]) is None:
                 continue
-            chosen.append(cands[idx])
-            recurse(new_res, idx)
-            chosen.pop()
+            if depth >= min_rows and not any(new_res):
+                found.append((*chosen, cands[idx]))
+            elif depth < k:
+                chosen.append(cands[idx])
+                yield children(new_res, depth, t, left - 1, idx)
+                chosen.pop()
 
-    recurse(root, 0)
+    if min_rows <= 0 and not any(root):
+        return [()]
+    if k == 0 or nonzero[0] and sum(map(root.__getitem__, diagonal)) < min_rows:
+        return []
+    # the walks of the nodes on the current path, the deepest last; each
+    # step pushes the next child walk of the deepest, or drops it when done
+    stack = [children(root, 0, -1, 0, 0)]
+    while stack:
+        for child in stack[-1]:
+            stack.append(child)
+            break
+        else:
+            stack.pop()
     return found

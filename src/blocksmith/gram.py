@@ -227,17 +227,19 @@ def _canonicalize(
     patterns: Sequence[tuple[int, ...]],
 ) -> tuple[Row, ...]:
     """Deterministic representative under allowed column signs and
-    permutations within each pinned group."""
+    permutations within each pinned group. ``rows`` holds the rows of each
+    group in turn, in the order of ``groups``; each goes to its group's
+    indices."""
 
     def arrange(pat: tuple[int, ...]) -> tuple[Row, ...]:
         # strict: a row that still carries appended fixed-column entries is
         # an error, not silently cut to the pattern's length
-        signed_rows = [
+        signed_rows = (
             tuple(s * x for s, x in zip(pat, r, strict=True)) for r in rows
-        ]
-        arranged: list[Row] = list(signed_rows)
+        )
+        arranged: list[Row] = [()] * len(rows)
         for g in groups:
-            block = sorted((signed_rows[i] for i in g), reverse=True)
+            block = sorted(itertools.islice(signed_rows, len(g)), reverse=True)
             for slot, row in zip(g, block):
                 arranged[slot] = row
         return tuple(arranged)
@@ -397,7 +399,7 @@ def _solve_free(p: GramProblem) -> list[tuple[Row, ...]]:
         lo = hi = p.row_count
     pad = not p.require_nonzero_rows and p.row_count is not None
     # nonzero rows each consume at least 1 of the trace
-    found = _kernel.search_rows(c.to_lists(), [pool] * min(hi, trace), 1 if pad else lo)
+    found = _kernel.search_rows(c.to_lists(), [(pool, min(hi, trace))], 1 if pad else lo)
     zero = (0,) * c.col_count
 
     def fills(n: int) -> list[tuple[Row, ...]]:
@@ -440,16 +442,18 @@ def _with_columns(
 def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     """Canonical row sequences of a pinned problem, one per solution.
 
-    Each group of interchangeable rows (``_row_groups``) gets one candidate
-    list, sorted decreasing: the zero row alone for forced zero rows,
-    otherwise the full pool, with the zero row sorted in when zero rows are
-    allowed. A diagonal constraint keeps the rows whose contribution
-    defect_order * r.adj(C).r^t / det C is the prescribed entry. The fixed
-    blocks, side by side, form a k x m matrix U: every candidate of a group
-    gets the group's row of U appended (the rows of a group agree on it),
-    and the kernel searches against diag(C, U^t U) (``_with_columns``). It
+    Each group of interchangeable rows (``_row_groups``) is one kernel run,
+    in group order, searched as a multiset from one list sorted decreasing:
+    the zero row alone for forced zero rows, otherwise the full pool, with
+    the zero row sorted in when zero rows are allowed. A diagonal constraint
+    keeps the rows whose contribution defect_order * r.adj(C).r^t / det C is
+    the prescribed entry. The fixed blocks, side by side, form a k x m
+    matrix U: every candidate of a group gets the group's row of U appended
+    (the rows of a group agree on it), and the kernel searches against
+    diag(C, U^t U) (``_with_columns``), whatever the order of the rows. It
     walks both signs of every row; each emitted sequence is cut back to its
-    first l entries, canonicalized under every pattern and deduplicated.
+    first l entries, its groups' rows are put at their indices, and it is
+    canonicalized under every pattern and deduplicated.
     """
     c = p.target_gram
     k = p.pinned_row_count()
@@ -463,19 +467,17 @@ def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
     adj, d = adjugate_and_det(c)
     forms = row_forms(adj)
     groups = _row_groups(p, k)
-    slots: list[list[Row]] = [[] for _ in range(k)]
+    runs: list[tuple[list[Row], int]] = []
     for g in groups:
         opts = [zero] if g[0] in p.zero_rows else pool
         if p.diag_constraints is not None:
             want = p.diag_constraints[g[0]] * d
             opts = [r for r in opts if forms[r, r] * p.defect_order == want]
         u = tuple(x for b in p.fixed_blocks for x in b.rows[g[0]])
-        opts = [r + u for r in opts]
-        for i in g:
-            slots[i] = opts
+        runs.append(([r + u for r in opts], len(g)))
     cols = [col for b in p.fixed_blocks for col in zip(*b.rows)]
     patterns = _sign_patterns(c) if p.signed else [(1,) * l]
-    found = _kernel.search_rows(_with_columns(c.rows, cols), slots, k)
+    found = _kernel.search_rows(_with_columns(c.rows, cols), runs, k)
     return list(
         dict.fromkeys(
             _canonicalize([r[:l] for r in rows], groups, patterns) for rows in found
@@ -518,7 +520,7 @@ def solve_orthogonal_column(
     problem of one column: the kernel searches one row (v_i, *q1_i) per free
     index i against diag([[gram_value]], q1^t q1 over the free indices).
     Indices with equal q1 rows are interchangeable, so each class of them
-    shares one candidate list, its entries are searched nonincreasingly, and
+    is one kernel run, its entries are searched nonincreasingly, and
     every column found is expanded to all distinct arrangements of each
     class's entries over that class's indices. The search admits both signs;
     of v and -v the expansion keeps the one whose first nonzero entry is
@@ -539,11 +541,9 @@ def solve_orthogonal_column(
     order = [i for members in classes.values() for i in members]
     bound = isqrt(gram_value)
     entries = range(bound, -bound - 1 if signed else -1, -1)
-    slots: list[list[Row]] = []
-    for row, members in classes.items():
-        slots += [[(x, *row) for x in entries]] * len(members)
+    runs = [([(x, *row) for x in entries], len(members)) for row, members in classes.items()]
     target = _with_columns([[gram_value]], list(zip(*(q1.rows[i] for i in order))))
-    found = _kernel.search_rows(target, slots, len(order))
+    found = _kernel.search_rows(target, runs, len(order))
     spans = list(itertools.accumulate(map(len, classes.values()), initial=0))
     out: list[tuple[int, ...]] = []
     for rows in found:

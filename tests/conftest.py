@@ -498,13 +498,17 @@ def pinned_gram_orbit(q, c, signed, blocks=(), diag=None, zero_rows=()) -> set:
 
 
 def unpruned_search_rows(c, slots, min_rows, cols=()) -> list:
-    """The Gram-search kernel as it was before the reach prune: the same
-    slots, emission rule, diagonal bound, Cauchy-Schwarz prune on the cross
-    sums and PSD test on the residual, and nothing else. Its output, order
-    included, is what ``blocksmith._kernel.search_rows`` must return; with
-    fixed columns ``cols``, the kernel gets them as coordinates instead
-    (the rows (r | u_i) against diag(C, U^t U)), and its sequences cut back
-    to the first l entries must be these."""
+    """The Gram-search kernel as it was before the reach prune, the
+    row-count prune and the runs: one candidate list per slot, consecutive
+    slots given the same list object filled nonincreasingly, the same
+    emission rule, a diagonal bound, a Cauchy-Schwarz prune on the cross
+    sums and the PSD test on the residual, and nothing else. For kernel
+    runs given each their own list, with each run's list repeated once per
+    row as the slots, its output, order included, is what
+    ``blocksmith._kernel.search_rows`` must return; with fixed columns
+    ``cols``, the kernel gets them as coordinates instead (the rows
+    (r | u_i) against diag(C, U^t U)), and its sequences cut back to the
+    first l entries must be these."""
     from blocksmith.intmat import psd_rank
 
     l = len(c)
@@ -556,9 +560,11 @@ def expanding_solve(p) -> list:
     distinct forms are sorted by (row count, repr).
 
     Uses the package's row pool, kernel (free problems) and row bound; a
-    pinned problem goes through ``unpruned_search_rows`` with its fixed
-    columns as cross sums. The expansion, zero-row padding, canonical form
-    and dedupe are the replaced code."""
+    pinned problem goes through ``unpruned_search_rows`` with one slot per
+    row index, so a group whose indices interleave with another's is walked
+    index by index, and with its fixed columns as cross sums. The
+    expansion, zero-row padding, canonical form and dedupe are the replaced
+    code."""
     from blocksmith import _kernel
     from blocksmith.gram import _row_pool, row_quad
     from blocksmith.intmat import adjugate_and_det
@@ -617,7 +623,7 @@ def expanding_solve(p) -> list:
             lo = hi = p.row_count
         pad = not p.require_nonzero_rows and p.row_count is not None
         found = _kernel.search_rows(
-            c.to_lists(), [pool] * min(hi, trace), 1 if pad else lo
+            c.to_lists(), [(pool, min(hi, trace))], 1 if pad else lo
         )
         if p.signed:
             expanded = []

@@ -123,6 +123,44 @@ def test_solve_gram_options(capsys):
     assert [len(s["rows"]) for s in env["payload"]["solutions"]] == [7]
 
 
+ROWS_1200 = json.dumps([[1]] * 1200)
+
+
+def test_pinned_search_deeper_than_the_recursion_limit(capsys):
+    """1200 interchangeable rows against one fixed column of ones: the one
+    solution has a row 1, a row -1 and 1198 zero rows."""
+    code, env = run_json(
+        capsys, "solve-gram", "--gram", "[[2]]", "--signed", "--fixed", ROWS_1200,
+        "--allow-zero-rows",
+    )
+    assert code == EXIT_OK and env["payload"]["count"] == 1
+    assert env["payload"]["solutions"][0]["rows"] == [[1]] + [[0]] * 1198 + [[-1]]
+
+
+def test_orthogonal_column_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """No column of norm 1 is orthogonal to a column of 1200 ones."""
+    rules = [{
+        "id": "deep",
+        "candidate": [[9, 1], [1, 2]],
+        "kind": "solver_run",
+        "params": {"orthogonal": {"q1": [[1]] * 1200, "gram_value": 1}},
+        "expected_outcome": {"column_count": 0},
+    }]
+    f = tmp_path / "rules.json"
+    f.write_text(json.dumps(rules), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, env = run_json(
+        capsys, "casebook", "run", "--dim", "13", "--rules", str(f), "--report", str(report)
+    )
+    assert code == EXIT_OK and env["payload"]["regressions"] == []
+    verdicts = [
+        v for cand in json.loads(report.read_text())["candidates"] for v in cand["verdicts"]
+    ]
+    assert [v["outcome"] for v in verdicts if v["rule"] == "deep"] == [
+        {"column_count": 0, "proved_empty": True}
+    ]
+
+
 def test_reused_parser_matches_a_fresh_one(capsys):
     """dispatch builds its parser once per process. A sequence of calls
     through it prints byte for byte what each call prints with a freshly

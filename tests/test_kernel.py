@@ -62,7 +62,7 @@ def test_sign_representative_search_matches_full_pool(target):
     exactly one sequence the representative search returns, and that
     sequence is the largest of its orbit."""
     c = IntMatrix.from_rows(target)
-    full = _kernel.search_rows(target, [_row_pool(c, signed=True)] * c.trace(), 1)
+    full = _kernel.search_rows(target, [(_row_pool(c, signed=True), c.trace())], 1)
     classes = _solve_free(GramProblem(target_gram=c, sign_mode="signed"))
     orbits = [sign_orbit(rows, target) for rows in classes]
     assert all(rows == max(orbit) for rows, orbit in zip(classes, orbits))
@@ -97,21 +97,28 @@ def test_sign_classes_match_expanding_solve_on_8a_target():
 def test_row_count_window():
     target = [[5, 2], [2, 4]]
     pool = _row_pool(IntMatrix.from_rows(target), signed=False)
-    everything = _kernel.search_rows(target, [pool] * 9, 1)
-    only5 = _kernel.search_rows(target, [pool] * 5, 5)
+    everything = _kernel.search_rows(target, [(pool, 9)], 1)
+    only5 = _kernel.search_rows(target, [(pool, 5)], 5)
     assert only5 == [rows for rows in everything if len(rows) == 5]
-    assert _kernel.search_rows(target, [pool] * 4, 1) == [
+    assert _kernel.search_rows(target, [(pool, 4)], 1) == [
         rows for rows in everything if len(rows) <= 4
     ]
+
+
+def slots_of(runs):
+    """The per-slot input of ``unpruned_search_rows`` for kernel runs: each
+    run's list object once per row, so consecutive slots share a list
+    exactly when they lie in one run (the runs must not share lists)."""
+    return [cands for cands, n in runs for _ in range(n)]
 
 
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("target", TARGETS + CARTAN_CANDIDATES)
 def test_reach_prune_matches_unpruned_search(target, signed):
     c = IntMatrix.from_rows(target)
-    slots = [_row_pool(c, signed)] * c.trace()
-    assert _kernel.search_rows(target, slots, 1) == unpruned_search_rows(
-        target, slots, 1
+    runs = [(_row_pool(c, signed), c.trace())]
+    assert _kernel.search_rows(target, runs, 1) == unpruned_search_rows(
+        target, slots_of(runs), 1
     )
 
 
@@ -128,7 +135,7 @@ def box(c, signed):
 
 @given(st.data())
 def test_reach_prune_matches_unpruned_free_search(data):
-    """Free problems: one list shared by every slot, a row-count window."""
+    """Free problems: one run over the pool, a row-count window."""
     draw = data.draw
     l = draw(st.integers(1, 3))
     signed = draw(st.booleans())
@@ -141,38 +148,41 @@ def test_reach_prune_matches_unpruned_free_search(data):
         pool = [r for r in pool if r in q0 or keep.random() < 0.6]
     hi = draw(st.integers(1, sum(c[j][j] for j in range(l)) + 1))
     lo = draw(st.integers(1, hi))
-    slots = [pool] * hi
-    assert _kernel.search_rows(c, slots, lo) == unpruned_search_rows(c, slots, lo)
+    assert _kernel.search_rows(c, [(pool, hi)], lo) == unpruned_search_rows(
+        c, [pool] * hi, lo
+    )
 
 
-def search_with_columns(c, slots, min_rows, cols):
-    """The kernel's sequences for the slots of C with fixed columns ``cols``
-    (each of length len(slots)), cut back to l entries per row: it gets the
-    columns as coordinates u_i appended to the rows of slot i, one list per
-    list object and u_i, against the target diag(C, U^t U)."""
+def search_with_columns(c, runs, min_rows, cols):
+    """The kernel's sequences for the runs of C with fixed columns ``cols``
+    (each with one entry per row, equal along each run), cut back to l
+    entries per row: it gets the columns as coordinates u appended to the
+    rows of each run, one augmented list per run, against the target
+    diag(C, U^t U)."""
     l = len(c)
-    augmented = {}
-    aug_slots = []
-    for i, cands in enumerate(slots):
-        u = tuple(col[i] for col in cols)
-        aug_slots.append(augmented.setdefault((id(cands), u), [r + u for r in cands]))
+    aug_runs = []
+    start = 0
+    for cands, n in runs:
+        u = tuple(col[start] for col in cols)
+        aug_runs.append(([r + u for r in cands], n))
+        start += n
     target = [list(row) + [0] * len(cols) for row in c] + [
         [0] * l + [sum(map(mul, u, v)) for v in cols] for u in cols
     ]
-    found = _kernel.search_rows(target, aug_slots, min_rows)
+    found = _kernel.search_rows(target, aug_runs, min_rows)
     return [tuple(r[:l] for r in rows) for rows in found]
 
 
 @given(st.data())
 def test_reach_prune_matches_unpruned_pinned_search(data):
-    """Pinned problems: each row group has its own list (the zero row
-    alone, the rows of a box with or without the zero row, or a subset of
-    them), groups need not be consecutive, and fixed columns are mostly
-    drawn orthogonal to a known solution Q0. The columns are equal along
-    each run of slots sharing a list, so those slots stay interchangeable;
-    the kernel gets them as coordinates appended to each slot's rows,
-    against the target diag(C, U^t U), and its sequences cut back to l
-    entries are those of the cross-sum search."""
+    """Pinned problems: runs of up to k rows in all, each with its own list
+    (the zero row alone, the rows of a box with or without the zero row, or
+    a subset of them; runs may repeat a list's content), and fixed columns
+    mostly drawn orthogonal to a known solution Q0. The columns are equal
+    along each run, so its rows stay interchangeable; the kernel gets them
+    as coordinates appended to each run's rows, against the target
+    diag(C, U^t U), and its sequences cut back to l entries are those of the
+    cross-sum search over one slot per row."""
     draw = data.draw
     l = draw(st.integers(1, 2))
     k = draw(st.integers(1, 4))
@@ -194,7 +204,11 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
         else:
             keep = draw(st.randoms(use_true_random=False))
             lists[g] = [r for r in full if r in q0 or keep.random() < 0.5]
-    slots = [lists[draw(st.sampled_from(sorted(lists)))] for _ in range(k)]
+    runs = []
+    while sum(n for _, n in runs) < k:
+        n = draw(st.integers(1, k - sum(n for _, n in runs)))
+        runs.append((list(lists[draw(st.sampled_from(sorted(lists)))]), n))
+    slots = slots_of(runs)
     vectors = [
         v for v in itertools.product((-1, 0, 1), repeat=k)
         if all(v[i] == v[i - 1] for i in range(1, k) if slots[i] is slots[i - 1])
@@ -207,7 +221,7 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
         draw(st.sampled_from(orthogonal if draw(st.booleans()) else vectors))
         for _ in range(draw(st.integers(0, 2)))
     ]
-    assert search_with_columns(c, slots, k, cols) == unpruned_search_rows(
+    assert search_with_columns(c, runs, k, cols) == unpruned_search_rows(
         c, slots, k, cols
     )
 
@@ -216,15 +230,17 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_one_by_one_targets_match_unpruned_search(n, signed):
     """l = 1: a flat residual of one entry and a full row of one index, with
-    and without the zero row, slots sharing one list or each its own."""
+    and without the zero row, all rows in one run, each in a run of its own,
+    or one run after an empty one."""
     c = [[n]]
     for pool in (box(c, signed), _row_pool(IntMatrix.from_rows(c), signed)):
         for k in (1, 2, 3, n, n + 1):
-            shapes = [[pool] * k] + ([[list(pool) for _ in range(k)]] if k <= 3 else [])
-            for slots in shapes:
+            shapes = [[(pool, k)], [(list(pool), 0), (pool, k)]]
+            shapes += [[(list(pool), 1) for _ in range(k)]] if k <= 3 else []
+            for runs in shapes:
                 for lo in sorted({1, (k + 1) // 2, k}):
-                    assert _kernel.search_rows(c, slots, lo) == unpruned_search_rows(
-                        c, slots, lo
+                    assert _kernel.search_rows(c, runs, lo) == unpruned_search_rows(
+                        c, slots_of(runs), lo
                     )
 
 
@@ -235,12 +251,12 @@ def test_one_by_one_targets_match_unpruned_search(n, signed):
      [[4, 2, 0], [2, 1, 0], [0, 0, 0]]],
 )
 def test_single_slot_matches_unpruned_search(target, signed):
-    """One slot: a sequence is a single row with r^t r = C (or none at all
+    """One row: a sequence is a single row with r^t r = C (or none at all
     when C = 0 and no row is needed)."""
-    slots = [box(target, signed)]
+    runs = [(box(target, signed), 1)]
     for lo in (0, 1):
-        found = _kernel.search_rows(target, slots, lo)
-        assert found == unpruned_search_rows(target, slots, lo)
+        found = _kernel.search_rows(target, runs, lo)
+        assert found == unpruned_search_rows(target, slots_of(runs), lo)
         assert all(gram_of(rows, len(target)) == target for rows in found)
 
 
@@ -252,14 +268,13 @@ def test_fixed_coordinates_past_two_to_the_53_match_unpruned_search():
     sequences are those of the unscaled search and of the cross-sum one."""
     c = [[5, 1], [1, 2]]
     q1 = [(1, 1)] + [(1, 0)] * 6 + [(0, 1)] * 3
-    lists = {}
-    slots = [lists.setdefault(row, box(c, True)) for row in q1]
-    k = len(slots)
-    expected = unpruned_search_rows(c, slots, k, list(zip(*q1)))
+    runs = [(box(c, True), 1), (box(c, True), 6), (box(c, True), 3)]
+    k = len(q1)
+    expected = unpruned_search_rows(c, slots_of(runs), k, list(zip(*q1)))
     assert expected
     for scale in (1, 3**40):
         cols = [[scale * x for x in col] for col in zip(*q1)]
-        assert search_with_columns(c, slots, k, cols) == expected
+        assert search_with_columns(c, runs, k, cols) == expected
 
 
 def drawn_q0(draw, l, k_max):
@@ -407,3 +422,65 @@ def test_fixed_columns_as_coordinates_keep_psd_checks_down(monkeypatch):
     checks = count_psd_checks(monkeypatch)
     assert len(solve(problem)) == 4
     assert checks[0] <= FIXED_COLUMNS_PSD_CEILING
+
+
+def test_a_run_is_never_materialized():
+    """A run of 10**12 rows: nothing is sized by the count, and the one
+    sequence is emitted after its first row."""
+    assert _kernel.search_rows([[10**12]], [([(10**6,)], 10**12)], 1) == [((10**6,),)]
+
+
+# PSD checks of the nonnegative solve of [[100]] in exactly 100 rows. Without
+# the row-count prune the kernel made 24,786, as many as with no row count.
+ROW_COUNT_PSD_CEILING = 100
+
+
+def test_row_count_prune_keeps_psd_checks_down(monkeypatch):
+    problem = GramProblem(IntMatrix.from_rows([[100]]), row_count=100)
+    checks = count_psd_checks(monkeypatch)
+    assert solved_rows(problem) == [((1,),) * 100]
+    assert checks[0] <= ROW_COUNT_PSD_CEILING
+
+
+def test_twelve_hundred_rows_are_placed():
+    """The walk keeps its own stack, so a sequence may be longer than the
+    interpreter's recursion limit."""
+    problem = GramProblem(IntMatrix.from_rows([[1200]]), row_count=1200)
+    assert solved_rows(problem) == [((1,),) * 1200]
+
+
+# Interleaved groups: (target, problem options, kernel finds). Walked index
+# by index, the five searches made 48, 6, 48, 64 and 648 finds.
+INTERLEAVED = [
+    ([[5, 1], [1, 2]], dict(sign_mode="signed", row_count=5, zero_rows={1, 3}), 8),
+    ([[5, 1], [1, 2]], dict(row_count=5, zero_rows={1, 3}), 1),
+    ([[5, 1], [1, 2]], dict(sign_mode="signed", row_count=6, zero_rows={0, 2, 4},
+                            require_nonzero_rows=False), 8),
+    ([[5, 2], [2, 4]], dict(sign_mode="signed", row_count=5,
+                            diag_constraints=(5, 4, 5, 13, 5), defect_order=16), 32),
+    ([[6, 1], [1, 3]], dict(sign_mode="signed", require_nonzero_rows=False,
+                            fixed_blocks=(IntMatrix.from_rows([[1], [0]] * 3),)), 20),
+]
+
+
+@pytest.mark.parametrize("target, options, finds", INTERLEAVED)
+def test_interleaved_pinned_groups_are_searched_as_multisets(
+    target, options, finds, monkeypatch
+):
+    """Groups whose indices interleave are each one run, so the kernel finds
+    each multiset of a group's rows once; walking them index by index, as
+    ``expanding_solve`` does, gives the same solutions in the same order."""
+    options = {**options, "zero_rows": frozenset(options.get("zero_rows", ()))}
+    problem = GramProblem(target_gram=IntMatrix.from_rows(target), **options)
+    raw = []
+    search_rows = _kernel.search_rows
+
+    def counting_search_rows(*args):
+        found = search_rows(*args)
+        raw.extend(found)
+        return found
+
+    expected = expanding_solve(problem)
+    monkeypatch.setattr(_kernel, "search_rows", counting_search_rows)
+    assert expected and solved_rows(problem) == expected
+    assert len(raw) == finds
