@@ -16,11 +16,11 @@ searches against diag(C, U^t U). A sequence of rows (r_i | u_i) sums to
 that target exactly when sum r_i^t r_i = C and sum u_i^t r_i = 0, and the
 PSD and reach tests below then also prune on the cross sums.
 
-Since r^t r = (-r)^t (-r), a signed free search need not walk both signs of
-a row: ``gram._solve_free`` passes only the sign representatives (rows whose
-first nonzero entry is positive) and expands the sign choices of each
-emitted sequence itself. The kernel does not depend on that; it searches
-whatever lists it is given.
+Since r^t r = (-r)^t (-r), a signed search need not walk both signs of a
+row whose appended entries are zero: ``gram._canonical_forms`` passes only
+the sign representatives of such a run (rows r >= 0) and builds the sign
+classes of each emitted sequence itself. The kernel does not depend on
+that; it searches whatever lists it is given.
 
 The walk keeps an explicit stack, one generator of children per node on
 the current path, so the number of rows it can place is bounded by memory,

@@ -10,20 +10,20 @@ the defect group is trivial. The pruning licensed by the conservative bound
 
 Solutions are counted up to the column negations S with S C S = C (one sign
 per connected component of C) and the row permutations the problem allows,
-and each is reported as the row-major largest member of its class. A free
-signed problem is searched over sign representatives only (rows whose first
-nonzero entry is positive), and its classes are then built from each
-representative sequence X directly, one canonical form per class, without
-expanding every sign choice of X and deduplicating: with m_t copies of the
-row r_t in X, a class is a pair {j, m - j} of negation counts per row when
-C is connected, and for a disconnected C only the largest X of each orbit
-of the patterns is used (``_solve_free`` says why both are exact). Pinned
-problems canonicalize each sequence the kernel emits. ``verify_solution``
-re-checks every returned solution from its rows and columns.
+and each is reported as the row-major largest member of its class. Every
+problem is searched one way (``_canonical_forms``): its rows fall into
+groups of interchangeable rows (one group for a free problem, one per set
+of indices sharing their pinned data otherwise), each group one run of the
+kernel. A group whose rows may change sign freely (signed, with no
+fixed-block entries) is searched over sign representatives only, rows
+r >= 0, and the classes are built from each sequence X the kernel finds
+directly, one canonical form per class code, without expanding every sign
+choice of X and deduplicating. ``verify_solution`` re-checks every
+returned solution from its rows and columns.
 
 The row form r.adj(C).s^t has one memo per adjugate (``row_forms``), keyed
 on the adjugate itself rather than on C. The pool build fills its (r, r)
-entries once per target, and every later reader (verification, the pinned
+entries once per target, and every later reader (verification, the
 diagonal filter, the casebook valuation filter and the contribution
 matrix) looks the values up instead of evaluating them per solution.
 """
@@ -84,6 +84,12 @@ class GramProblem:
             self.zero_rows
         )
 
+    def row_window(self) -> tuple[int, int] | None:
+        """``row_count`` as an inclusive (low, high) window, or None."""
+        if isinstance(self.row_count, int):
+            return self.row_count, self.row_count
+        return self.row_count
+
     def pinned_row_count(self) -> int | None:
         if self.fixed_blocks:
             return self.fixed_blocks[0].row_count
@@ -126,7 +132,8 @@ class GramProblem:
                 raise GramInputError("diag constraint length mismatch")
             if any(i < 0 or i >= k for i in self.zero_rows):
                 raise GramInputError("zero-row index out of range")
-            if isinstance(self.row_count, int) and self.row_count != k:
+            lo, hi = self.row_window() or (k, k)
+            if not lo <= k <= hi:
                 raise GramInputError("row_count conflicts with pinned inputs")
 
 
@@ -221,47 +228,21 @@ def _sign_patterns(c: IntMatrix) -> list[tuple[int, ...]]:
     return patterns
 
 
-def _canonicalize(
-    rows: Sequence[Row],
-    groups: Sequence[Sequence[int]],
-    patterns: Sequence[tuple[int, ...]],
-) -> tuple[Row, ...]:
-    """Deterministic representative under allowed column signs and
-    permutations within each pinned group. ``rows`` holds the rows of each
-    group in turn, in the order of ``groups``; each goes to its group's
-    indices."""
-
-    def arrange(pat: tuple[int, ...]) -> tuple[Row, ...]:
-        # strict: a row that still carries appended fixed-column entries is
-        # an error, not silently cut to the pattern's length
-        signed_rows = (
-            tuple(s * x for s, x in zip(pat, r, strict=True)) for r in rows
-        )
-        arranged: list[Row] = [()] * len(rows)
-        for g in groups:
-            block = sorted(itertools.islice(signed_rows, len(g)), reverse=True)
-            for slot, row in zip(g, block):
-                arranged[slot] = row
-        return tuple(arranged)
-
-    return max(arrange(pat) for pat in patterns)
-
-
 def solve(p: GramProblem) -> list[GramSolution]:
     """Complete, duplicate-free solution list for the Gram problem.
 
     Each solution is the canonical form of one class of row sequences under
     the column-sign patterns and the allowed row permutations (all rows of a
     free problem, each pinned group of a pinned one): the row-major largest
-    member, sorted by (row count, repr of its rows). ``_solve_free`` and
-    ``_solve_pinned`` give each class once.
+    member, sorted by (row count, repr of its rows). ``_canonical_forms``
+    gives each class once.
 
     Returns [] when the constraints are proved unsatisfiable; raises
     GramInputError when the problem statement is malformed. Every returned
     solution passes ``verify_solution``; InvariantError is raised otherwise.
     """
     p.validate()
-    canon = _solve_pinned(p) if p.pinned else _solve_free(p)
+    canon = _canonical_forms(p)
     canon.sort(key=lambda rows: (len(rows), repr(rows)))
     # rows of the integer row pool, negated or zero: ints by construction
     solutions = [GramSolution(q=IntMatrix._unchecked(rows)) for rows in canon]
@@ -288,11 +269,6 @@ def _row_groups(p: GramProblem, k: int) -> list[list[int]]:
     return list(keys.values())
 
 
-def _sign_rep(r: Row) -> Row:
-    """The one of r and -r whose first nonzero entry is positive."""
-    return r if next(x for x in r if x) > 0 else tuple(-x for x in r)
-
-
 def _class_codes(mults: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """One code from each pair {j, m - j}: the codes j (j_t of the m_t
     copies of run t negated) with j <= m - j lexicographically. The first t
@@ -309,122 +285,63 @@ def _class_codes(mults: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _sign_classes(
-    rows: tuple[Row, ...],
+    blocks: Sequence[tuple[Row, ...]],
+    sign_free: Sequence[bool],
     patterns: Sequence[tuple[int, ...]],
-    fills: Sequence[tuple[Row, ...]],
+    groups: Sequence[Sequence[int]],
 ) -> Iterator[tuple[Row, ...]]:
-    """For each code of ``_class_codes``, the largest sorted form of its
-    sign expansion of ``rows`` (nonincreasing sign representatives) under
-    the column negations ``patterns``, once with each zero-row fill of
-    ``fills``.
+    """For each code of ``_class_codes``, the largest form of its sign
+    expansion of ``blocks`` under the column negations ``patterns``.
 
-    The expansion with code j has m_t - j_t copies of the run row r_t and
-    j_t of -r_t. Under a pattern S these are the 2T distinct rows +-S r_t,
-    so its sorted form is read off one decreasing order of them per
-    pattern, with no sort per expansion: the T rows whose first nonzero
-    entry is positive come first, then the zero rows, then the T others.
-    Comparing (positive part, negative part) pairs orders the forms as
-    whole sequences, whatever the fill, since the positive part of a form
-    is followed by rows smaller than any positive row."""
-    runs = [(r, len(list(g))) for r, g in itertools.groupby(rows)]
-    mults = [m for _, m in runs]
-    half = len(runs)
-    orders = []
-    for pat in patterns:
-        images = []
-        for t, (r, _) in enumerate(runs):
-            v = tuple(s * x for s, x in zip(pat, r))
-            images += [(v, t, False), (tuple(-x for x in v), t, True)]
-        images.sort(reverse=True)
-        orders.append((images[:half], images[half:]))
-    chain = itertools.chain.from_iterable
-    for code in _class_codes(mults):
-        # copies of r_t kept and negated, indexed by the negated flag
-        counts = [(m - j, j) for j, m in zip(code, mults)]
-        pos, neg = max(
-            tuple(
-                tuple(chain((v,) * counts[t][negated] for v, t, negated in part))
-                for part in order
-            )
-            for order in orders
-        )
-        for fill in fills:
-            yield pos + fill + neg
-
-
-def _solve_free(p: GramProblem) -> list[tuple[Row, ...]]:
-    """Canonical row sequences of an unpinned problem, one per solution.
-
-    The kernel emits each multiset of rows once, as a nonincreasing
-    sequence, so a nonnegative sequence is already its canonical form.
-
-    A signed search hands the kernel only the sign representatives of the
-    pool (rows whose first nonzero entry is positive): r and -r give the
-    same r^t r, so a full-pool search walks every partial solution once per
-    sign choice. A representative sequence X stands for its sign
-    expansions, the sequences with j_t of the m_t copies of each row r_t
-    negated; together they are exactly what the full-pool search emits.
-    The solutions are the classes of expansions under the column-sign
-    patterns, each named by its largest sorted form, and each is built from
-    X once instead of expanding every sequence and discarding duplicates:
-
-    - -I keeps X and maps code j to m - j, so the codes j <= m - j of
-      ``_class_codes`` meet every class of X. For a connected target (every
-      Cartan candidate), +-I are the only patterns, so these codes are the
-      classes of X, one each, and the identity's form is already the larger
-      (at the first run where j and m - j differ it keeps more positive
-      copies); ``_sign_classes`` builds just that form.
-    - Disconnected target: a pattern S maps the expansions of X one to one
-      onto those of rep(S X), the sorted sign representatives of its rows,
-      so every class meets the expansions of each X of its orbit. Only the
-      largest X of each orbit is used; ``_sign_classes`` takes the largest
-      form over all patterns, and the classes of that X are deduplicated
-      among themselves.
-
-    With zero rows allowed, a row-count window is the union of its exact
-    counts: a sequence of n nonzero rows is padded with zero rows to every
-    count of the window that is at least n. Zero rows are fixed by every
-    pattern and sort between the positive and the negated rows.
+    ``blocks`` holds the rows of each group of ``groups`` in turn, each
+    block nonincreasing. In the block of a group flagged ``sign_free`` the
+    nonzero rows are sign representatives, and the expansion with code j
+    has m_t - j_t copies of such a run row r_t and j_t of -r_t; every other
+    run keeps its m_t copies (its code entry is 0). Under a pattern S the
+    rows of a block's expansion are among the distinct rows S r_t and
+    -S r_t, so its sorted block is read off one decreasing order of them
+    per pattern and block, with no sort per expansion. Each block goes to
+    its group's indices (a single group is the whole sequence), and the
+    form is the largest over the patterns.
     """
-    c = p.target_gram
-    pool = _row_pool(c, p.signed)
-    if p.signed:
-        pool = [r for r in pool if next(x for x in r if x) > 0]
-    trace = c.trace()
-    if p.row_count is None:
-        lo, hi = 1, trace
-    elif isinstance(p.row_count, tuple):
-        lo, hi = p.row_count
-    else:
-        lo = hi = p.row_count
-    pad = not p.require_nonzero_rows and p.row_count is not None
-    # nonzero rows each consume at least 1 of the trace
-    found = _kernel.search_rows(c.to_lists(), [(pool, min(hi, trace))], 1 if pad else lo)
-    zero = (0,) * c.col_count
+    mults: list[int] = []
+    flips: list[int] = []
+    orders: list[list[list[tuple[Row, int, bool]]]] = [[] for _ in patterns]
+    for block, negate in zip(blocks, sign_free):
+        runs = [(r, len(list(g))) for r, g in itertools.groupby(block)]
+        for pat, order in zip(patterns, orders):
+            images = []
+            for t, (r, _) in enumerate(runs, len(mults)):
+                # strict: a row that still carries appended fixed-column
+                # entries is an error, not silently cut to the pattern
+                v = tuple(s * x for s, x in zip(pat, r, strict=True))
+                images.append((v, t, False))
+                if negate and any(r):
+                    images.append((tuple(-x for x in v), t, True))
+            images.sort(reverse=True)
+            order.append(images)
+        mults += [m for _, m in runs]
+        flips += [m if negate and any(r) else 0 for r, m in runs]
+    chain = itertools.chain.from_iterable
+    k = sum(map(len, blocks))
 
-    def fills(n: int) -> list[tuple[Row, ...]]:
-        if not pad:
-            return [()]
-        return [(zero,) * (k - n) for k in range(max(n, lo), hi + 1)]
-
-    if not p.signed:
-        return [rows + fill for rows in found for fill in fills(len(rows))]
-    patterns = _sign_patterns(c)
-    if len(patterns) == 2:
-        return [
-            form
-            for rows in found
-            for form in _sign_classes(rows, [(1,) * c.col_count], fills(len(rows)))
-        ]
-    out: list[tuple[Row, ...]] = []
-    for rows in found:
-        orbit = (
-            sorted((_sign_rep(tuple(s * x for s, x in zip(pat, r))) for r in rows), reverse=True)
-            for pat in patterns
+    def form(order, counts) -> tuple[Row, ...]:
+        parts = (
+            tuple(chain((v,) * counts[t][negated] for v, t, negated in images))
+            for images in order
         )
-        if list(rows) == max(orbit):
-            out += dict.fromkeys(_sign_classes(rows, patterns, fills(len(rows))))
-    return out
+        if len(groups) == 1:
+            return next(parts)
+        arranged: list[Row] = [()] * k
+        for g, part in zip(groups, parts):
+            for slot, row in zip(g, part):
+                arranged[slot] = row
+        return tuple(arranged)
+
+    for code in _class_codes(flips):
+        # copies of run t kept and negated, indexed by the negated flag
+        counts = [(m - j, j) for j, m in zip(code, mults)]
+        yield max(form(order, counts) for order in orders)
 
 
 def _with_columns(
@@ -439,50 +356,118 @@ def _with_columns(
     ]
 
 
-def _solve_pinned(p: GramProblem) -> list[tuple[Row, ...]]:
-    """Canonical row sequences of a pinned problem, one per solution.
+def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
+    """Canonical row sequences of a problem, one per solution.
 
-    Each group of interchangeable rows (``_row_groups``) is one kernel run,
-    in group order, searched as a multiset from one list sorted decreasing:
-    the zero row alone for forced zero rows, otherwise the full pool, with
-    the zero row sorted in when zero rows are allowed. A diagonal constraint
-    keeps the rows whose contribution defect_order * r.adj(C).r^t / det C is
-    the prescribed entry. The fixed blocks, side by side, form a k x m
-    matrix U: every candidate of a group gets the group's row of U appended
-    (the rows of a group agree on it), and the kernel searches against
-    diag(C, U^t U) (``_with_columns``), whatever the order of the rows. It
-    walks both signs of every row; each emitted sequence is cut back to its
-    first l entries, its groups' rows are put at their indices, and it is
-    canonicalized under every pattern and deduplicated.
+    The rows fall into groups of interchangeable rows, each one kernel run
+    searched as a multiset: a free problem is one group of min(hi, trace)
+    rows (nonzero rows each take at least 1 of the trace) under the
+    row-count window lo..hi, and a pinned problem has one group of exactly
+    k rows per ``_row_groups`` entry. A group's candidates are the pool
+    sorted decreasing, with the zero row sorted in when a pinned problem
+    allows zero rows, or the zero row alone for forced zero rows; a
+    diagonal constraint keeps the rows whose contribution defect_order *
+    r.adj(C).r^t / det C is the prescribed entry. The fixed blocks, side by
+    side, form a k x m matrix U: every candidate of a group gets the
+    group's row u of U appended, and the kernel searches against diag(C,
+    U^t U) (``_with_columns``).
+
+    A group is sign-free when the problem is signed and its u is zero:
+    negating one of its rows keeps r^t r, the cross sums, the contribution
+    and the zero-row flag, so its run holds only the rows r >= 0 (the sign
+    representatives, and the zero row when allowed). A find X stands for
+    its sign expansions, j_t of the m_t copies of each nonzero run row r_t
+    of the sign-free groups negated; together they are exactly the
+    sequences a search over both signs finds. The solutions are the
+    classes of expansions under the column-sign patterns S, each named by
+    its largest form, and ``_sign_classes`` builds them per code j of
+    ``_class_codes`` (j <= m - j), deduplicated with one dict. These rules
+    are exact:
+
+    - One group, all sign-free, C connected (patterns +-I): -I keeps X and
+      maps code j to m - j, so each code is one class of X, and the
+      identity's form is the larger (at the first run where j and m - j
+      differ it keeps more positive copies); only the identity is used.
+    - More than two patterns, every group sign-free: S maps the expansions
+      of X one to one onto those of rep(S X), the sign representatives of
+      its rows sorted per group, so every class meets the expansions of
+      each X of its orbit; only the largest X of each orbit is used, and
+      -I, which keeps X, again makes the codes j <= m - j meet every class.
+    - Some group not sign-free: -I maps the expansion of X with code j onto
+      that of X' with code m - j, where X' is the find with the rows of
+      those groups negated, so the codes j <= m - j of X and of X'
+      together meet every class; the dict drops the repeats.
+
+    An unsigned single group has one pattern and nothing to negate, so its
+    sequence is its own form. With zero rows allowed, a free row-count
+    window is the union of its exact counts: a sequence of n nonzero rows
+    is padded with zero rows to every count of the window that is at least
+    n. Zero rows are fixed by every pattern.
     """
     c = p.target_gram
-    k = p.pinned_row_count()
-    if k is None:
-        raise InvariantError("internal: pinned problem without a row count")
     l = c.col_count
-    pool = _row_pool(c, p.signed)
     zero = (0,) * l
-    if not p.require_nonzero_rows:
-        pool = sorted(pool + [zero], reverse=True)
+    pool = _row_pool(c, p.signed)
+    if p.pinned:
+        lo = hi = p.pinned_row_count()
+        groups = _row_groups(p, lo)
+        if not p.require_nonzero_rows:
+            pool = sorted(pool + [zero], reverse=True)
+        pad = False
+    else:
+        trace = c.trace()
+        lo, hi = p.row_window() or (1, trace)
+        groups = [range(min(hi, trace))]
+        pad = not p.require_nonzero_rows and p.row_count is not None
     adj, d = adjugate_and_det(c)
     forms = row_forms(adj)
-    groups = _row_groups(p, k)
     runs: list[tuple[list[Row], int]] = []
+    sign_free: list[bool] = []
     for g in groups:
         opts = [zero] if g[0] in p.zero_rows else pool
         if p.diag_constraints is not None:
             want = p.diag_constraints[g[0]] * d
             opts = [r for r in opts if forms[r, r] * p.defect_order == want]
         u = tuple(x for b in p.fixed_blocks for x in b.rows[g[0]])
-        runs.append(([r + u for r in opts], len(g)))
+        sign_free.append(p.signed and not any(u))
+        runs.append(([r + u for r in opts if not sign_free[-1] or r >= zero], len(g)))
     cols = [col for b in p.fixed_blocks for col in zip(*b.rows)]
+    found = _kernel.search_rows(_with_columns(c.rows, cols), runs, 1 if pad else lo)
+    if cols:
+        found = [tuple(r[:l] for r in rows) for rows in found]
+
+    def fills(n: int) -> list[tuple[Row, ...]]:
+        return [(zero,) * (m - n) for m in range(max(n, lo), hi + 1)] if pad else [()]
+
+    if not p.signed and len(groups) == 1:
+        return [rows + fill for rows in found for fill in fills(len(rows))]
     patterns = _sign_patterns(c) if p.signed else [(1,) * l]
-    found = _kernel.search_rows(_with_columns(c.rows, cols), runs, k)
-    return list(
-        dict.fromkeys(
-            _canonicalize([r[:l] for r in rows], groups, patterns) for rows in found
-        )
-    )
+    orbit = len(patterns) > 2 and all(sign_free)
+    if len(patterns) == 2 and len(groups) == 1 and sign_free[0]:
+        patterns = patterns[:1]
+    spans = list(itertools.accumulate(map(len, groups), initial=0))
+
+    def split(rows: tuple[Row, ...]) -> list[tuple[Row, ...]]:
+        if len(groups) == 1:
+            return [rows]
+        return [rows[a:b] for a, b in itertools.pairwise(spans)]
+
+    def rep_image(pat: tuple[int, ...], blocks: list[tuple[Row, ...]]) -> list[Row]:
+        """rep(S X): each row of S X replaced by the larger of it and its
+        negation (its sign representative), sorted decreasing per group."""
+        image: list[Row] = []
+        for block in blocks:
+            vs = (tuple(map(mul, pat, r)) for r in block)
+            image += sorted((max(v, tuple(-x for x in v)) for v in vs), reverse=True)
+        return image
+
+    out: dict[tuple[Row, ...], None] = {}
+    for rows in found:
+        if orbit and list(rows) != max(rep_image(pat, split(rows)) for pat in patterns):
+            continue
+        for fill in fills(len(rows)):
+            out.update(dict.fromkeys(_sign_classes(split(rows + fill), sign_free, patterns, groups)))
+    return list(out)
 
 
 def _arrangements(rep: Sequence[int]) -> list[tuple[int, ...]]:
@@ -577,9 +562,8 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
     k = p.pinned_row_count()
     if k is not None and n != k:
         return False
-    if isinstance(p.row_count, int) and n != p.row_count:
-        return False
-    if isinstance(p.row_count, tuple) and not (p.row_count[0] <= n <= p.row_count[1]):
+    lo, hi = p.row_window() or (n, n)
+    if not lo <= n <= hi:
         return False
     # once C = C^t, the upper triangle of Q^t Q settles Q^t Q = C
     if c.rows != tuple(zip(*c.rows)):

@@ -123,6 +123,31 @@ def test_solve_gram_options(capsys):
     assert [len(s["rows"]) for s in env["payload"]["solutions"]] == [7]
 
 
+@pytest.mark.parametrize(
+    "pinned",
+    [
+        ["--fixed", "[[1],[-1],[0]]", "--rows", "5..6", "--signed", "--allow-zero-rows"],
+        ["--diag", "1,1", "--defect-order", "2", "--rows", "3..4"],
+    ],
+)
+def test_row_window_without_the_pinned_count_is_invalid_input(capsys, pinned):
+    """Pinned inputs fix the row count; a window that leaves it out is a
+    malformed problem, not a search whose finds fail verification."""
+    code, env = run_json(capsys, "solve-gram", "--gram", "[[2]]", *pinned)
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert env["command"] == "solve-gram"
+    assert env["payload"]["error"] == "row_count conflicts with pinned inputs"
+
+
+def test_row_window_with_the_pinned_count_solves(capsys):
+    code, env = run_json(
+        capsys, "solve-gram", "--gram", "[[2]]", "--diag", "1,1", "--defect-order", "2",
+        "--rows", "2..4",
+    )
+    assert code == EXIT_OK
+    assert env["payload"]["solutions"] == [{"rows": [[1], [1]]}]
+
+
 ROWS_1200 = json.dumps([[1]] * 1200)
 
 

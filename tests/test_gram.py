@@ -649,6 +649,34 @@ def test_no_floating_point_in_the_package():
     assert found == []
 
 
+def test_no_private_name_goes_unreferenced_in_the_package():
+    # a private top-level function, class or constant that nothing in the
+    # package reads is a leftover of a removed code path
+    package = Path(blocksmith.__file__).parent
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))]
+    assert len(trees) >= 10
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert "_row_pool" in private
+    assert sorted(private - read) == []
+
+
 def test_invariant_checks_run_under_optimize():
     code = """
 from blocksmith import InvariantError, IntMatrix, contrib, gram

@@ -11,7 +11,7 @@ from hypothesis import assume, given, strategies as st
 from blocksmith import IntMatrix
 from blocksmith import _kernel, _kernel_py
 from blocksmith.cartan import enumerate_cartan, filter_block_feasible, min_sum_for_l
-from blocksmith.gram import GramProblem, _row_pool, _solve_free, row_quad, solve
+from blocksmith.gram import GramProblem, _class_codes, _row_pool, row_quad, solve
 from blocksmith.intmat import adjugate_and_det, is_positive_definite
 
 from conftest import expanding_solve, unpruned_search_rows
@@ -63,7 +63,8 @@ def test_sign_representative_search_matches_full_pool(target):
     sequence is the largest of its orbit."""
     c = IntMatrix.from_rows(target)
     full = _kernel.search_rows(target, [(_row_pool(c, signed=True), c.trace())], 1)
-    classes = _solve_free(GramProblem(target_gram=c, sign_mode="signed"))
+    problem = GramProblem(target_gram=c, sign_mode="signed")
+    classes = [s.q.rows for s in solve(problem)]
     orbits = [sign_orbit(rows, target) for rows in classes]
     assert all(rows == max(orbit) for rows, orbit in zip(classes, orbits))
     assert sum(map(len, orbits)) == len(full) == len(set(full))
@@ -450,26 +451,34 @@ def test_twelve_hundred_rows_are_placed():
 
 
 # Interleaved groups: (target, problem options, kernel finds). Walked index
-# by index, the five searches made 48, 6, 48, 64 and 648 finds.
+# by index, the five searches made 48, 6, 48, 64 and 648 finds; with each
+# group one run but both signs of every row walked, 8, 1, 8, 32 and 20.
 INTERLEAVED = [
-    ([[5, 1], [1, 2]], dict(sign_mode="signed", row_count=5, zero_rows={1, 3}), 8),
+    ([[5, 1], [1, 2]], dict(sign_mode="signed", row_count=5, zero_rows={1, 3}), 1),
     ([[5, 1], [1, 2]], dict(row_count=5, zero_rows={1, 3}), 1),
     ([[5, 1], [1, 2]], dict(sign_mode="signed", row_count=6, zero_rows={0, 2, 4},
-                            require_nonzero_rows=False), 8),
+                            require_nonzero_rows=False), 1),
     ([[5, 2], [2, 4]], dict(sign_mode="signed", row_count=5,
-                            diag_constraints=(5, 4, 5, 13, 5), defect_order=16), 32),
+                            diag_constraints=(5, 4, 5, 13, 5), defect_order=16), 2),
     ([[6, 1], [1, 3]], dict(sign_mode="signed", require_nonzero_rows=False,
-                            fixed_blocks=(IntMatrix.from_rows([[1], [0]] * 3),)), 20),
+                            fixed_blocks=(IntMatrix.from_rows([[1], [0]] * 3),)), 5),
+]
+
+# Signed pinned problems on disconnected targets, every group sign-free:
+# (target, problem options, kernel finds). Walking both signs of every row,
+# the three searches made 16, 8 and 16 finds.
+DISCONNECTED = [
+    ([[4, 1, 0], [1, 3, 0], [0, 0, 2]], dict(sign_mode="signed", row_count=5,
+                                              zero_rows={4}, require_nonzero_rows=False), 1),
+    ([[2, 0], [0, 3]], dict(sign_mode="signed", row_count=5, zero_rows={1, 3}), 1),
+    ([[3, 0], [0, 3]], dict(sign_mode="signed", row_count=6,
+                            diag_constraints=(3,) * 6, defect_order=9), 1),
 ]
 
 
-@pytest.mark.parametrize("target, options, finds", INTERLEAVED)
-def test_interleaved_pinned_groups_are_searched_as_multisets(
-    target, options, finds, monkeypatch
-):
-    """Groups whose indices interleave are each one run, so the kernel finds
-    each multiset of a group's rows once; walking them index by index, as
-    ``expanding_solve`` does, gives the same solutions in the same order."""
+def assert_finds(target, options, finds, monkeypatch):
+    """The problem's solutions are ``expanding_solve``'s, in its order, and
+    its kernel search makes ``finds`` finds."""
     options = {**options, "zero_rows": frozenset(options.get("zero_rows", ()))}
     problem = GramProblem(target_gram=IntMatrix.from_rows(target), **options)
     raw = []
@@ -484,3 +493,41 @@ def test_interleaved_pinned_groups_are_searched_as_multisets(
     monkeypatch.setattr(_kernel, "search_rows", counting_search_rows)
     assert expected and solved_rows(problem) == expected
     assert len(raw) == finds
+
+
+@pytest.mark.parametrize("target, options, finds", INTERLEAVED)
+def test_interleaved_pinned_groups_are_searched_as_multisets(
+    target, options, finds, monkeypatch
+):
+    """Groups whose indices interleave are each one run, so the kernel finds
+    each multiset of a group's rows once; walking them index by index, as
+    ``expanding_solve`` does, gives the same solutions in the same order. A
+    sign-free group walks its sign representatives only, and -I pairs the
+    finds of the others."""
+    assert_finds(target, options, finds, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "target, options, finds", DISCONNECTED, ids=["zero-row", "zero-rows", "diag"]
+)
+def test_disconnected_pinned_search_walks_one_sequence_per_orbit(
+    target, options, finds, monkeypatch
+):
+    """With every group sign-free, the kernel walks sign representatives
+    and only the largest find of each orbit of the column negations is
+    expanded into its classes."""
+    assert_finds(target, options, finds, monkeypatch)
+
+
+def test_class_codes_take_one_of_each_complementary_pair():
+    """For every run multiplicity list of up to 3 runs of 0..3 copies (a
+    run of 0 stands for a run that is not negated), the codes are distinct
+    and, of each pair {j, m - j}, exactly one is yielded."""
+    for n in range(4):
+        for mults in itertools.product(range(4), repeat=n):
+            every = set(itertools.product(*(range(m + 1) for m in mults)))
+            codes = list(_class_codes(mults))
+            assert len(codes) == len(set(codes)) and set(codes) <= every
+            for j in every:
+                twin = tuple(m - x for x, m in zip(j, mults))
+                assert len({j, twin} & set(codes)) == 1
