@@ -5,13 +5,16 @@ For Q with Q^t Q = C and defect order |D|, the contribution matrix is
 M = |D| * Q * C^{-1} * Q^t. It is an exact integer matrix, symmetric,
 idempotent up to the scale |D| (M * M = |D| * M), and has trace |D| * l.
 Its entries are the row forms r.adj(C).s^t of ``gram.row_forms``, one memo
-per adjugate, keyed on the adjugate; all three laws are checked on every
-matrix built.
+per adjugate, keyed on the adjugate, read once per pair of distinct rows of
+Q; all three laws are checked on every matrix built, the idempotence once
+per pair of distinct rows of M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, count, product, repeat
+from operator import floordiv, itemgetter, mod, mul
 from typing import Sequence
 
 from .cartan import is_prime
@@ -58,7 +61,10 @@ def contribution_matrix(
     shared with the Gram search of C (``adjugate_and_det``). Entry (i, j)
     is |D| * r_i.adj.r_j^t / det C, read for each pair of distinct rows of
     Q from the memo ``gram.row_forms`` of that adjugate, keyed on the
-    adjugate itself; Q may be any matrix with Q^t Q = C."""
+    adjugate itself, and spread to the rows of Q; Q may be any matrix with
+    Q^t Q = C. Symmetry, M * M = |D| * M and the trace |D| * l are checked
+    on the spread matrix; given symmetry, the product law is the same
+    predicate checked once per pair of distinct rows of M."""
     if defect_order <= 0:
         raise ContributionError("defect order must be positive")
     if q.col_count != c.col_count or not c.is_square:
@@ -69,29 +75,37 @@ def contribution_matrix(
     if q.transpose().matmul(q) != c:
         raise ContributionError("Q^t Q does not reproduce the Gram matrix")
     forms = row_forms(adj)
-    where = {r: t for t, r in enumerate(dict.fromkeys(q.rows))}
+    distinct = list(dict.fromkeys(q.rows))
+    u = len(distinct)
+    where = dict(zip(distinct, count()))
     slots = [where[r] for r in q.rows]
-    m_rows = []
-    for r in where:
-        values = []
-        for u in where:
-            num = defect_order * forms[r, u]
-            if num % d != 0:
-                raise ContributionError(
-                    "contribution matrix is not integral; defect order does not "
-                    "match the decomposition"
-                )
-            values.append(num // d)
-        m_rows.append(tuple(values[t] for t in slots))
-    # ints from num // d, one row per distinct row of Q
-    m = IntMatrix._unchecked(tuple(m_rows[t] for t in slots))
-    # invariants of a scaled idempotent
-    if not m.is_symmetric:
+    # spread(values) lists values[slots[i]] for every row i of Q; an
+    # itemgetter of one index would return the bare item
+    spread = itemgetter(*slots) if len(slots) > 1 else lambda v: (v[slots[0]],)
+    # |D| * r.adj.s^t for each pair (r, s) of distinct rows of Q, row-major
+    nums = [defect_order * x for x in map(forms.__getitem__, product(distinct, repeat=2))]
+    if any(map(mod, nums, repeat(d))):
+        raise ContributionError(
+            "contribution matrix is not integral; defect order does not "
+            "match the decomposition"
+        )
+    values = list(map(floordiv, nums, repeat(d)))
+    # ints from num // d: the u x u matrix of the distinct rows, spread
+    rows = spread([spread(values[t : t + u]) for t in range(0, u * u, u)])
+    # invariants of a scaled idempotent. Once M = M^t, entry (a, j) of
+    # M * M is row a . row j, and equal rows give equal products and equal
+    # entries M_aj, so M * M = |D| * M is checked once per unordered pair
+    # of distinct rows of M, not of Q (a corrupted entry makes its row
+    # distinct)
+    if rows != tuple(zip(*rows)):
         raise InvariantError("internal: contribution matrix is not symmetric")
-    if m.matmul(m) != m.scale(defect_order):
-        raise InvariantError("internal: contribution matrix is not |D|-idempotent")
-    if m.trace() != defect_order * c.col_count:
+    at = dict(zip(rows, count()))
+    for (v, _), (w, j) in combinations_with_replacement(at.items(), 2):
+        if sum(map(mul, v, w)) != defect_order * v[j]:
+            raise InvariantError("internal: contribution matrix is not |D|-idempotent")
+    if sum(row[i] for i, row in enumerate(rows)) != defect_order * c.col_count:
         raise InvariantError("internal: contribution matrix trace is not |D| * l")
+    m = IntMatrix._unchecked(rows)
     return ContributionResult(matrix=m, defect_order=defect_order)
 
 

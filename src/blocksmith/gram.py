@@ -19,7 +19,11 @@ fixed-block entries) is searched over sign representatives only, rows
 r >= 0, and the classes are built from each sequence X the kernel finds
 directly, one canonical form per class code, without expanding every sign
 choice of X and deduplicating. ``verify_solution`` re-checks every
-returned solution from its rows and columns.
+returned solution from its rows and columns; what it needs of the problem
+alone (the upper triangle of C, the allowed row counts, the fixed-block
+columns) is built once per problem and cached on it. The solution list is
+ordered by (row count, repr of the rows) through ranks of the distinct
+rows, with no repr per solution (``_sort_forms``).
 
 The row form r.adj(C).s^t has one memo per adjugate (``row_forms``), keyed
 on the adjugate itself rather than on C. The pool build fills its (r, r)
@@ -32,9 +36,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernel
@@ -136,6 +140,27 @@ class GramProblem:
             if not lo <= k <= hi:
                 raise GramInputError("row_count conflicts with pinned inputs")
 
+    @cached_property
+    def _checks(self) -> tuple[list[int] | None, range | None, set[int], list[Row]]:
+        """What ``verify_solution`` reads from the problem alone, built on
+        its first call: the upper triangle of C, row-major (None when C is
+        not symmetric, as then no Q has Q^t Q = C), the allowed row counts
+        (None for any), the row counts of the fixed blocks and their
+        columns, side by side. A cached property is not a field, so
+        equality and the hash stay those of the fields."""
+        c = self.target_gram.rows
+        upper = [x for i, row in enumerate(c) for x in row[i:]] if c == tuple(zip(*c)) else None
+        k = self.pinned_row_count()
+        window = self.row_window()
+        if k is not None:
+            lo, hi = window or (k, k)
+            counts = range(k, k + 1) if lo <= k <= hi else range(0)
+        else:
+            counts = None if window is None else range(window[0], window[1] + 1)
+        block_rows = {b.row_count for b in self.fixed_blocks}
+        fixed_cols = [col for b in self.fixed_blocks for col in zip(*b.rows)]
+        return upper, counts, block_rows, fixed_cols
+
 
 @dataclass(frozen=True)
 class GramSolution:
@@ -234,7 +259,9 @@ def solve(p: GramProblem) -> list[GramSolution]:
     Each solution is the canonical form of one class of row sequences under
     the column-sign patterns and the allowed row permutations (all rows of a
     free problem, each pinned group of a pinned one): the row-major largest
-    member, sorted by (row count, repr of its rows). ``_canonical_forms``
+    member, sorted by (row count, repr of its rows): ``_sort_forms`` keys
+    each form on its row count and the ranks of its rows in the repr order
+    of the distinct rows, which is the same order. ``_canonical_forms``
     gives each class once.
 
     Returns [] when the constraints are proved unsatisfiable; raises
@@ -243,7 +270,7 @@ def solve(p: GramProblem) -> list[GramSolution]:
     """
     p.validate()
     canon = _canonical_forms(p)
-    canon.sort(key=lambda rows: (len(rows), repr(rows)))
+    _sort_forms(canon)
     # rows of the integer row pool, negated or zero: ints by construction
     solutions = [GramSolution(q=IntMatrix._unchecked(rows)) for rows in canon]
     for s in solutions:
@@ -252,6 +279,20 @@ def solve(p: GramProblem) -> list[GramSolution]:
                 f"internal: solution {s.q.to_lists()} failed verification"
             )
     return solutions
+
+
+def _sort_forms(forms: list[tuple[Row, ...]]) -> None:
+    """Sort row sequences by (row count, repr of the rows), with no repr
+    per sequence: each distinct row gets its rank in the repr order of the
+    distinct rows, and sequences of one length compare as rank tuples.
+    The order is the same, byte for byte: the rows of one problem have one
+    length, and each row's repr holds exactly one ")", at its end, so no
+    row repr is a prefix of another; two sequence reprs therefore first
+    differ inside the reprs of the first rows that differ, and those
+    decide."""
+    distinct = sorted(set(itertools.chain.from_iterable(forms)), key=repr)
+    rank = {r: i for i, r in enumerate(distinct)}.__getitem__
+    forms.sort(key=lambda rows: (len(rows), tuple(map(rank, rows))))
 
 
 def _row_groups(p: GramProblem, k: int) -> list[list[int]]:
@@ -300,13 +341,17 @@ def _sign_classes(
     run keeps its m_t copies (its code entry is 0). Under a pattern S the
     rows of a block's expansion are among the distinct rows S r_t and
     -S r_t, so its sorted block is read off one decreasing order of them
-    per pattern and block, with no sort per expansion. Each block goes to
-    its group's indices (a single group is the whole sequence), and the
-    form is the largest over the patterns.
+    per pattern and block, with no sort per expansion. Per pattern, these
+    orders are one flat list of picks: the row v, and the slot 2t (kept)
+    or 2t + 1 (negated) of its count. Each form is one tuple of every
+    pick's v repeated by its count, the blocks in group order; when the
+    groups are not consecutive runs of indices, one fixed permutation puts
+    each block on its group's indices. The form is the largest over the
+    patterns.
     """
     mults: list[int] = []
     flips: list[int] = []
-    orders: list[list[list[tuple[Row, int, bool]]]] = [[] for _ in patterns]
+    orders: list[list[tuple[Row, int]]] = [[] for _ in patterns]
     for block, negate in zip(blocks, sign_free):
         runs = [(r, len(list(g))) for r, g in itertools.groupby(block)]
         for pat, order in zip(patterns, orders):
@@ -315,33 +360,30 @@ def _sign_classes(
                 # strict: a row that still carries appended fixed-column
                 # entries is an error, not silently cut to the pattern
                 v = tuple(s * x for s, x in zip(pat, r, strict=True))
-                images.append((v, t, False))
+                images.append((v, 2 * t))
                 if negate and any(r):
-                    images.append((tuple(-x for x in v), t, True))
+                    images.append((tuple(-x for x in v), 2 * t + 1))
             images.sort(reverse=True)
-            order.append(images)
+            order += images
         mults += [m for _, m in runs]
         flips += [m if negate and any(r) else 0 for r, m in runs]
+    picks = [tuple(zip(*order)) for order in orders]
+    indices = [i for g in groups for i in g]
+    place = None
+    if indices != list(range(len(indices))):
+        where = [0] * len(indices)
+        for position, i in enumerate(indices):
+            where[i] = position
+        place = itemgetter(*where)
     chain = itertools.chain.from_iterable
-    k = sum(map(len, blocks))
-
-    def form(order, counts) -> tuple[Row, ...]:
-        parts = (
-            tuple(chain((v,) * counts[t][negated] for v, t, negated in images))
-            for images in order
-        )
-        if len(groups) == 1:
-            return next(parts)
-        arranged: list[Row] = [()] * k
-        for g, part in zip(groups, parts):
-            for slot, row in zip(g, part):
-                arranged[slot] = row
-        return tuple(arranged)
-
     for code in _class_codes(flips):
-        # copies of run t kept and negated, indexed by the negated flag
-        counts = [(m - j, j) for j, m in zip(code, mults)]
-        yield max(form(order, counts) for order in orders)
+        # copies of run t kept (slot 2t) and negated (slot 2t + 1)
+        counts = list(chain(zip(map(sub, mults, code), code)))
+        forms = [
+            tuple(chain(map(itertools.repeat, vs, map(counts.__getitem__, ix))))
+            for vs, ix in picks
+        ]
+        yield max(forms if place is None else map(place, forms))
 
 
 def _with_columns(
@@ -550,50 +592,53 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
     of Q: the row counts, Q^t Q = C (a symmetric C, compared on its upper
     triangle), the signs, each row's bound and zero-row flag, B^t Q = 0 for
     each fixed block B and the contribution diagonal. No intermediate
-    matrix is built. The row bound and the contribution diagonal read
-    r . adj . r^t from the memo of ``row_forms``, keyed on the adjugate
-    that ``adjugate_and_det`` returns here; in a free solve the pool build
+    matrix is built. What depends on the problem alone (the symmetry and
+    upper triangle of C, the allowed row counts, the fixed-block columns)
+    is built once per problem, ``GramProblem._checks``. The adjugate and
+    det come from ``adjugate_and_det`` on every call, and the row bound
+    and the contribution diagonal read r . adj . r^t from the memo of
+    ``row_forms`` keyed on that adjugate; in a free solve the pool build
     has already filled every entry read."""
     q = s.q
     c = p.target_gram
     if q.col_count != c.col_count:
         raise MatrixError("solution has wrong column count")
-    n = q.row_count
-    k = p.pinned_row_count()
-    if k is not None and n != k:
-        return False
-    lo, hi = p.row_window() or (n, n)
-    if not lo <= n <= hi:
+    rows = q.rows
+    n = len(rows)
+    upper, counts, block_rows, fixed_cols = p._checks
+    if counts is not None and n not in counts:
         return False
     # once C = C^t, the upper triangle of Q^t Q settles Q^t Q = C
-    if c.rows != tuple(zip(*c.rows)):
+    cols = tuple(zip(*rows))
+    if upper is None or [
+        sum(map(mul, u, v)) for u, v in itertools.combinations_with_replacement(cols, 2)
+    ] != upper:
         return False
-    cols = tuple(zip(*q.rows))
-    if [sum(map(mul, u, v)) for u, v in itertools.combinations_with_replacement(cols, 2)] != [
-        x for i, row in enumerate(c.rows) for x in row[i:]
-    ]:
+    if not p.signed and min(map(min, rows)) < 0:
         return False
-    if not p.signed and any(x < 0 for row in q.rows for x in row):
-        return False
-    for i, row in enumerate(q.rows):
-        forced_zero = i in p.zero_rows
-        if forced_zero and any(row):
+    if not p.zero_rows:
+        if p.require_nonzero_rows and not all(map(any, rows)):
             return False
-        if not forced_zero and p.require_nonzero_rows and not any(row):
-            return False
+    else:
+        for i, row in enumerate(rows):
+            forced_zero = i in p.zero_rows
+            if forced_zero and any(row):
+                return False
+            if not forced_zero and p.require_nonzero_rows and not any(row):
+                return False
     adj, d = adjugate_and_det(c)
     forms = row_forms(adj)
     limit = _quad_limit(d)
-    for row in set(q.rows):
+    for row in set(rows):
         if any(row) and forms[row, row] > limit:
             return False
-    for b in p.fixed_blocks:
-        if b.row_count != n or any(
-            sum(map(mul, u, v)) for u in zip(*b.rows) for v in cols
-        ):
-            return False
+    if fixed_cols and (
+        block_rows != {n}
+        or any(sum(map(mul, u, v)) for u in fixed_cols for v in cols)
+    ):
+        return False
     if p.diag_constraints is not None:
-        for row, want in zip(q.rows, p.diag_constraints):
+        for row, want in zip(rows, p.diag_constraints):
             num = p.defect_order * forms[row, row]
             if num % d != 0 or num // d != want:
                 return False

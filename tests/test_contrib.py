@@ -5,8 +5,11 @@ import pytest
 from blocksmith import (
     ContributionError,
     IntMatrix,
+    InvariantError,
     complement_diag,
+    contrib,
     contribution_matrix,
+    gram,
     heights_from_contribution,
 )
 
@@ -100,3 +103,76 @@ def test_complement_diag_range_check():
         complement_diag((20, 20), 16)
     with pytest.raises(ContributionError):
         complement_diag((4,), 0)
+
+
+# Mutations of the data a contribution matrix is built from. Each one keeps
+# M integral; the laws (symmetry, M * M = |D| * M, trace |D| * l) must
+# catch it.
+ADJ54 = ((4, -2), (-2, 5))  # adj([[5, 2], [2, 4]]), det 16
+# Q5 with two equal zero rows: M has two equal zero rows and columns
+Q5Z = M([[2, 1], [0, 1], [0, 1], [0, 1], [1, 0], [0, 0], [0, 0]])
+
+
+def _patched_adjugate(monkeypatch, adj, d):
+    monkeypatch.setattr(contrib, "adjugate_and_det", lambda m: (M(adj), d))
+
+
+def test_contribution_laws_catch_a_wrong_adjugate(monkeypatch):
+    # adj + diag(4, -5) keeps trace(adj' C) = 32, so M stays integral,
+    # symmetric and of trace |D| * l; only M * M = |D| * M fails
+    _patched_adjugate(monkeypatch, ((8, -2), (-2, 0)), 16)
+    with pytest.raises(InvariantError, match="idempotent"):
+        contribution_matrix(Q5, C54, 16)
+
+
+def test_contribution_laws_catch_a_wrong_det(monkeypatch):
+    _patched_adjugate(monkeypatch, ADJ54, 8)  # M doubled
+    with pytest.raises(InvariantError):
+        contribution_matrix(Q5, C54, 16)
+
+
+def _corrupt_forms(monkeypatch, pairs, by=16):
+    """Read each of ``pairs`` from the row-form memo of adj(C54) ``by`` too
+    high (with |D| = det C = 16, every entry of M it gives is ``by`` too
+    high); undone after the test."""
+    contribution_matrix(Q5Z, C54, 16)  # fills the memo
+    forms = gram.row_forms(M(ADJ54))
+    for r, s in pairs:
+        monkeypatch.setitem(forms, (r, s), forms[r, s] + by)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [((2, 1), (2, 1))],  # a diagonal entry
+        [((0, 1), (1, 0))],  # one off-diagonal entry: M loses its symmetry
+        [((0, 1), (1, 0)), ((1, 0), (0, 1))],  # both: symmetry and trace hold
+    ],
+    ids=["diagonal", "one-sided", "symmetric"],
+)
+def test_contribution_laws_catch_a_corrupted_nonzero_row_form(monkeypatch, pairs):
+    _corrupt_forms(monkeypatch, pairs)
+    with pytest.raises(InvariantError):
+        contribution_matrix(Q5, C54, 16)
+
+
+@pytest.mark.parametrize(
+    "pairs, by",
+    [
+        # the 2 x 2 block of the two zero rows: 16 * J fails M * M = 16 M
+        ([((0, 0), (0, 0))], 16),
+        # 8 * J squares to 16 * (8 * J): M stays a scaled idempotent, and
+        # only its trace is wrong
+        ([((0, 0), (0, 0))], 8),
+        # symmetry and trace hold
+        ([((0, 0), (1, 0)), ((1, 0), (0, 0))], 16),
+    ],
+    ids=["zero-zero", "zero-zero-projector", "zero-nonzero"],
+)
+def test_contribution_laws_catch_a_corrupted_zero_row_form(monkeypatch, pairs, by):
+    assert contribution_matrix(Q5Z, C54, 16).diagonal == (13, 5, 5, 5, 4, 0, 0)
+    _corrupt_forms(monkeypatch, pairs, by)
+    with pytest.raises(InvariantError):
+        contribution_matrix(Q5Z, C54, 16)
+    monkeypatch.undo()
+    assert contribution_matrix(Q5Z, C54, 16).diagonal == (13, 5, 5, 5, 4, 0, 0)

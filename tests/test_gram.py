@@ -2,8 +2,10 @@
 orthogonal columns, and verification."""
 
 import ast
+import dataclasses
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -613,6 +615,107 @@ def test_failed_verification_raises(monkeypatch):
     monkeypatch.setattr(gram, "verify_solution", lambda p, s: False)
     with pytest.raises(InvariantError):
         solve(GramProblem(target_gram=M([[5, 2], [2, 4]])))
+
+
+@pytest.mark.parametrize(
+    "problem, corrupt",
+    [
+        # one entry off by one: row (1, 0) of the first form, ((2, 1),
+        # (1, 0), (0, 1), ...), becomes (1, 1), a valid row, so only
+        # Q^t Q = C fails
+        (
+            GramProblem(target_gram=M([[5, 2], [2, 4]]), sign_mode="signed"),
+            lambda form: (form[0], (1, 1), *form[2:]),
+        ),
+        # forced zero row 2 made nonzero; Q^t Q and the row count still hold
+        (
+            GramProblem(
+                target_gram=M([[2]]),
+                row_count=3,
+                require_nonzero_rows=False,
+                zero_rows=frozenset({2}),
+            ),
+            lambda form: (form[0], form[2], form[1]),
+        ),
+        # (2,) has r.adj(C).r^t = 4 = det C; Q^t Q = C still holds
+        (GramProblem(target_gram=M([[4]])), lambda form: ((2,),)),
+    ],
+    ids=["entry", "forced-zero", "row-bound"],
+)
+def test_solve_rejects_a_corrupted_form(monkeypatch, problem, corrupt):
+    # solve's own check must catch a bad form, not only a verify_solution
+    # patched to answer False
+    forms = gram._canonical_forms
+
+    def corrupted(p):
+        out = forms(p)
+        out[0] = corrupt(out[0])
+        return out
+
+    monkeypatch.setattr(gram, "_canonical_forms", corrupted)
+    with pytest.raises(InvariantError):
+        solve(problem)
+
+
+def test_solve_verifies_each_solution_once(monkeypatch):
+    calls = 0
+    check = gram.verify_solution
+
+    def counting(p, s):
+        nonlocal calls
+        calls += 1
+        return check(p, s)
+
+    monkeypatch.setattr(gram, "verify_solution", counting)
+    # the 10-row decomposition of [[7, 1], [1, 4]] as a fixed block, as in
+    # casebook rule d13-27-d8-fake
+    q1 = M([[1, 1]] + [[1, 0]] * 6 + [[0, 1]] * 3)
+    problems = [
+        GramProblem(target_gram=M([[6, 1, 0], [1, 2, 1], [0, 1, 2]]), sign_mode="signed"),
+        GramProblem(
+            target_gram=M([[5, 1], [1, 2]]),
+            sign_mode="signed",
+            require_nonzero_rows=False,
+            fixed_blocks=(q1,),
+        ),
+        GramProblem(target_gram=M([[7, 1, 0], [1, 4, 0], [0, 0, 9]]), sign_mode="signed"),
+    ]
+    for p in problems:
+        twin = GramProblem(**{f.name: getattr(p, f.name) for f in dataclasses.fields(p)})
+        calls = 0
+        solutions = solve(p)
+        assert solutions and calls == len(solutions)
+        # the verify data cached on the problem is not a field
+        assert "_checks" in vars(p) and "_checks" not in vars(twin)
+        assert p == twin and hash(p) == hash(twin) and repr(p) == repr(twin)
+    assert calls == 28306
+
+
+def test_solution_order_is_the_repr_order():
+    # solve sorts by row count, then by the rank of each row in the repr
+    # order of the distinct rows; that must be the order of (row count,
+    # repr of the rows), where "-1" sorts before "0", "10" before "2", and
+    # a row of one entry is "(5,)"
+    rng = random.Random(1807)
+    seen = set()
+    differ = 0
+    for _ in range(400):
+        l = rng.randint(1, 4)
+        values = rng.sample(range(-12, 13), rng.randint(2, 5))
+        rows = [tuple(rng.choice(values) for _ in range(l)) for _ in range(rng.randint(1, 6))]
+        forms = list(
+            {
+                tuple(rng.choice(rows) for _ in range(rng.randint(1, 5)))
+                for _ in range(rng.randint(1, 40))
+            }
+        )
+        expected = sorted(forms, key=lambda rows: (len(rows), repr(rows)))
+        differ += expected != sorted(forms, key=lambda rows: (len(rows), rows))
+        gram._sort_forms(forms)
+        assert forms == expected
+        seen.update(values)
+    assert {-1, 0, 2, 5, 10} <= seen
+    assert differ > 100
 
 
 def test_no_assert_statements_in_the_package():
