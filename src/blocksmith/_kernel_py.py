@@ -10,14 +10,16 @@ is one run over the pool, a pinned problem one run per group of
 interchangeable rows, an orthogonal column one run per class of equal rows.
 
 Fixed columns are coordinates, not a separate constraint: a caller with a
-k x m matrix U that the rows must be orthogonal to appends row u_i of U to
-every candidate of row i (so the rows of a run must agree on it) and
-searches against diag(C, U^t U). A sequence of rows (r_i | u_i) sums to
-that target exactly when sum r_i^t r_i = C and sum u_i^t r_i = 0, and the
-PSD and reach tests below then also prune on the cross sums.
+k x m matrix U that the rows must be orthogonal to gives each run t its row
+u_t of U (``fixed``; the rows of a run agree on it). The kernel appends u_t
+to every candidate of run t and searches against diag(C, U^t U), where
+U^t U = sum_t n_t u_t^t u_t over the runs of n_t rows. A sequence of rows
+(r_i | u_i) sums to that target exactly when sum r_i^t r_i = C and
+sum u_i^t r_i = 0, and the PSD and reach tests below then also prune on the
+cross sums. The rows emitted are the caller's own, without u_t.
 
 Since r^t r = (-r)^t (-r), a signed search need not walk both signs of a
-row whose appended entries are zero: ``gram._canonical_forms`` passes only
+row whose run has a zero fixed row: ``gram._canonical_forms`` passes only
 the sign representatives of such a run (rows r >= 0) and builds the sign
 classes of each emitted sequence itself. The kernel does not depend on
 that; it searches whatever lists it is given.
@@ -51,6 +53,7 @@ def search_rows(
     c: Sequence[Sequence[int]],
     runs: Sequence[tuple[Sequence[Row], int]],
     min_rows: int,
+    fixed: Sequence[Row] = (),
 ) -> list[tuple[Row, ...]]:
     """All row sequences, filled run by run, whose rank-one sums equal C.
 
@@ -73,10 +76,26 @@ def search_rows(
     the zero row, each row still to come takes at least 1 of the trace, so
     a child at depth d with trace below ``min_rows`` - d is dropped, and the
     root is checked the same way.
+
+    ``fixed``, when its rows are nonempty, gives each run t its fixed row
+    u_t: every test above then runs on the rows (r | u_t) against
+    diag(C, sum_t n_t u_t^t u_t), so a row that is zero on C's coordinates
+    but not on u_t is not the zero row, and each emitted sequence holds the
+    caller's rows r, from ``candidates``.
     """
+    # the rows every test reads: the candidates, with u_t appended if fixed
+    searched = [cands for cands, _ in runs]
+    if any(fixed):
+        l, m = len(c), len(fixed[0])
+        weighted = list(zip([n for _, n in runs], fixed, strict=True))
+        c = [[*row, *[0] * m] for row in c] + [
+            [0] * l + [sum(n * u[a] * u[b] for n, u in weighted) for b in range(m)]
+            for a in range(m)
+        ]
+        searched = [[(*r, *u) for r in cands] for cands, u in zip(searched, fixed)]
+    runs = [(cands, n, padded) for (cands, n), padded in zip(runs, searched) if n > 0]
     l = len(c)
-    runs = [(cands, n) for cands, n in runs if n > 0]
-    k = sum(n for _, n in runs)
+    k = sum(n for _, n, _ in runs)
     pairs = [(i, j) for i in range(l) for j in range(i, l)]
     diagonal = [pairs.index((i, i)) for i in range(l)]
     root = [c[i][j] for i, j in pairs]
@@ -91,7 +110,7 @@ def search_rows(
     # two bits per pair (the low one for a positive product, the high one a
     # negative); after[t]: union of the full lists of runs t and on;
     # nonzero[t]: no list of runs t and on holds the zero row
-    products = [[[r[i] * r[j] for i, j in pairs] for r in cands] for cands, _ in runs]
+    products = [[[r[i] * r[j] for i, j in pairs] for r in padded] for _, _, padded in runs]
     suffix: list[list[int]] = []
     for prods in products:
         masks = [0] * (len(prods) + 1)
@@ -105,7 +124,7 @@ def search_rows(
     after, nonzero = [0] * (len(runs) + 1), [True] * (len(runs) + 1)
     for t in range(len(runs) - 1, -1, -1):
         after[t] = after[t + 1] | suffix[t][0]
-        nonzero[t] = nonzero[t + 1] and all(map(any, runs[t][0]))
+        nonzero[t] = nonzero[t + 1] and all(map(any, runs[t][2]))
     # beyond every child residual entry: a parent residual is C or PSD, so
     # bounded by max |C|, and a child subtracts one product vector from it
     big = 1 + 2 * max(map(abs, chain(root, *chain(*products))), default=0)

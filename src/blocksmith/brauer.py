@@ -15,10 +15,12 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intmat import IntMatrix, canonical_perm_form
+from .intmat import CANONICAL_DIM_BOUND, IntMatrix, canonical_perm_form
 from .cartan import is_prime
 
-EDGE_BOUND = 8
+# the tree step puts e x e Cartan matrices in canonical form, so the edge
+# count is bounded by the dimension the canonical form admits
+EDGE_BOUND = CANONICAL_DIM_BOUND
 
 
 class BrauerTreeError(ValueError):

@@ -264,21 +264,6 @@ def _labelled_matrices(diag, caps, sums):
     yield from fill(0, 1)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_power_base(n: int) -> int | None:
     """p when n = p^a with a >= 1, else None."""
     if n < 2:
@@ -296,6 +281,10 @@ def prime_power_base(n: int) -> int | None:
     if p is None:
         return n  # n itself is prime
     return p if m == 1 else None
+
+
+def is_prime(n: int) -> bool:
+    return prime_power_base(n) == n
 
 
 def filter_block_feasible(c: CartanCandidate) -> FeasibilityVerdict:

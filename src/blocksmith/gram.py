@@ -47,6 +47,7 @@ from .intmat import (
     InvariantError,
     MatrixError,
     adjugate_and_det,
+    components,
     is_positive_definite,
 )
 
@@ -231,26 +232,15 @@ def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:
 
 
 def _sign_patterns(c: IntMatrix) -> list[tuple[int, ...]]:
-    """Column negations S with S C S = C: one sign per connected component."""
-    l = c.row_count
-    comp = list(range(l))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for i in range(l):
-        for j in range(i):
-            if c.rows[i][j] != 0:
-                comp[find(i)] = find(j)
-    roots = sorted({find(i) for i in range(l)})
-    patterns = []
-    for bits in itertools.product((1, -1), repeat=len(roots)):
-        sign = {root: b for root, b in zip(roots, bits)}
-        patterns.append(tuple(sign[find(i)] for i in range(l)))
-    return patterns
+    """Column negations S with S C S = C: one sign per connected component,
+    the identity first."""
+    comps = components(c.rows)
+    where = [0] * c.row_count  # the component of each index
+    for t, comp in enumerate(comps):
+        for i in comp:
+            where[i] = t
+    signs = itertools.product((1, -1), repeat=len(comps))
+    return [tuple(bits[t] for t in where) for bits in signs]
 
 
 def solve(p: GramProblem) -> list[GramSolution]:
@@ -357,8 +347,8 @@ def _sign_classes(
         for pat, order in zip(patterns, orders):
             images = []
             for t, (r, _) in enumerate(runs, len(mults)):
-                # strict: a row that still carries appended fixed-column
-                # entries is an error, not silently cut to the pattern
+                # strict: a row of another length than the pattern is an
+                # error, not silently cut to it
                 v = tuple(s * x for s, x in zip(pat, r, strict=True))
                 images.append((v, 2 * t))
                 if negate and any(r):
@@ -386,18 +376,6 @@ def _sign_classes(
         yield max(forms if place is None else map(place, forms))
 
 
-def _with_columns(
-    c: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """diag(C, U^t U) for the matrix U with columns ``cols``: the target of
-    the kernel rows (r_i | u_i), which sum to it exactly when the rows r_i
-    sum to C and are orthogonal to every column of U."""
-    l = len(c)
-    return [list(row) + [0] * len(cols) for row in c] + [
-        [0] * l + [sum(map(mul, u, v)) for v in cols] for u in cols
-    ]
-
-
 def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
     """Canonical row sequences of a problem, one per solution.
 
@@ -410,9 +388,9 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
     allows zero rows, or the zero row alone for forced zero rows; a
     diagonal constraint keeps the rows whose contribution defect_order *
     r.adj(C).r^t / det C is the prescribed entry. The fixed blocks, side by
-    side, form a k x m matrix U: every candidate of a group gets the
-    group's row u of U appended, and the kernel searches against diag(C,
-    U^t U) (``_with_columns``).
+    side, form a k x m matrix U, and each run is given its group's row u of
+    U as its fixed row: the kernel keeps the rows orthogonal to U and
+    returns them without u.
 
     A group is sign-free when the problem is signed and its u is zero:
     negating one of its rows keeps r^t r, the cross sums, the contribution
@@ -464,19 +442,17 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
     adj, d = adjugate_and_det(c)
     forms = row_forms(adj)
     runs: list[tuple[list[Row], int]] = []
+    fixed: list[Row] = []
     sign_free: list[bool] = []
     for g in groups:
         opts = [zero] if g[0] in p.zero_rows else pool
         if p.diag_constraints is not None:
             want = p.diag_constraints[g[0]] * d
             opts = [r for r in opts if forms[r, r] * p.defect_order == want]
-        u = tuple(x for b in p.fixed_blocks for x in b.rows[g[0]])
-        sign_free.append(p.signed and not any(u))
-        runs.append(([r + u for r in opts if not sign_free[-1] or r >= zero], len(g)))
-    cols = [col for b in p.fixed_blocks for col in zip(*b.rows)]
-    found = _kernel.search_rows(_with_columns(c.rows, cols), runs, 1 if pad else lo)
-    if cols:
-        found = [tuple(r[:l] for r in rows) for rows in found]
+        fixed.append(tuple(x for b in p.fixed_blocks for x in b.rows[g[0]]))
+        sign_free.append(p.signed and not any(fixed[-1]))
+        runs.append(([r for r in opts if not sign_free[-1] or r >= zero], len(g)))
+    found = _kernel.search_rows(c.rows, runs, 1 if pad else lo, fixed)
 
     def fills(n: int) -> list[tuple[Row, ...]]:
         return [(zero,) * (m - n) for m in range(max(n, lo), hi + 1)] if pad else [()]
@@ -544,14 +520,16 @@ def solve_orthogonal_column(
 
     Forced zero entries are respected; in signed mode the result is reported
     up to global sign (first nonzero entry positive). This is a pinned Gram
-    problem of one column: the kernel searches one row (v_i, *q1_i) per free
-    index i against diag([[gram_value]], q1^t q1 over the free indices).
-    Indices with equal q1 rows are interchangeable, so each class of them
-    is one kernel run, its entries are searched nonincreasingly, and
-    every column found is expanded to all distinct arrangements of each
-    class's entries over that class's indices. The search admits both signs;
-    of v and -v the expansion keeps the one whose first nonzero entry is
-    positive. An empty list means the constraints are proved unsatisfiable.
+    problem of one column: the kernel searches one row (v_i) per free index
+    i against [[gram_value]], with q1_i as the fixed row of its run, which
+    keeps q1^t v = 0. Indices with equal q1 rows are interchangeable, so
+    each class of them is one kernel run, its entries are searched
+    nonincreasingly, and every column found is expanded to all distinct
+    arrangements of each class's entries over that class's indices. The
+    signed search admits both signs; of v and -v the expansion keeps the
+    one whose first nonzero entry is positive. An empty list means the
+    constraints are proved unsatisfiable. Every returned column is checked
+    again for each of these constraints; InvariantError is raised otherwise.
     """
     if gram_value <= 0:
         raise GramInputError("gram value must be positive")
@@ -567,10 +545,9 @@ def solve_orthogonal_column(
             classes.setdefault(q1.rows[i], []).append(i)
     order = [i for members in classes.values() for i in members]
     bound = isqrt(gram_value)
-    entries = range(bound, -bound - 1 if signed else -1, -1)
-    runs = [([(x, *row) for x in entries], len(members)) for row, members in classes.items()]
-    target = _with_columns([[gram_value]], list(zip(*(q1.rows[i] for i in order))))
-    found = _kernel.search_rows(target, runs, len(order))
+    entries = [(x,) for x in range(bound, -bound - 1 if signed else -1, -1)]
+    runs = [(entries, len(members)) for members in classes.values()]
+    found = _kernel.search_rows([[gram_value]], runs, len(order), list(classes))
     spans = list(itertools.accumulate(map(len, classes.values()), initial=0))
     out: list[tuple[int, ...]] = []
     for rows in found:
@@ -584,6 +561,15 @@ def solve_orthogonal_column(
             if not signed or next(x for x in v if x) > 0:
                 out.append(tuple(v))
     out.sort(reverse=True)
+    cols = list(zip(*q1.rows))
+    for v in out:
+        if (
+            sum(map(mul, v, v)) != gram_value
+            or any(sum(map(mul, col, v)) for col in cols)
+            or any(v[i] for i in zero_rows)
+            or (next(x for x in v if x) < 0 if signed else min(v) < 0)
+        ):
+            raise InvariantError(f"internal: column {list(v)} failed verification")
     return out
 
 

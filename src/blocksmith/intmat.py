@@ -301,19 +301,27 @@ def is_indecomposable(m: IntMatrix) -> bool:
     return is_connected(m.rows)
 
 
+def components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The connected components of the graph on the indices of the square
+    symmetric ``rows`` with edges at nonzero off-diagonal entries, each in
+    the order it is reached from its least index, by least index."""
+    seen = [False] * len(rows)
+    out = []
+    for start in range(len(rows)):
+        if not seen[start]:
+            seen[start] = True
+            out.append([start])
+            for i in out[-1]:  # grows while it is walked
+                for j, x in enumerate(rows[i]):
+                    if x and not seen[j]:
+                        seen[j] = True
+                        out[-1].append(j)
+    return out
+
+
 def is_connected(rows: Sequence[Sequence[int]]) -> bool:
-    """Connectivity of the graph on the indices of the square symmetric
-    ``rows`` with edges at nonzero off-diagonal entries."""
-    n = len(rows)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j != i and j not in seen and rows[i][j] != 0:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
+    """Connectivity of the graph of ``components``."""
+    return len(components(rows)) == 1
 
 
 @lru_cache(maxsize=32)

@@ -229,6 +229,20 @@ def test_primality_helpers():
     assert prime_power_base(17) == 17
     assert prime_power_base(12) is None
     assert prime_power_base(1) is None
+    # sieve oracle: least[n] is the least prime factor of n >= 2
+    limit = 5000
+    least = list(range(limit))
+    for f in range(2, limit):
+        if least[f] == f:
+            for m in range(f * f, limit, f):
+                least[m] = min(least[m], f)
+    for n in range(limit):
+        p = least[n] if n >= 2 else None
+        m = n
+        while p and m % p == 0:
+            m //= p
+        assert is_prime(n) == (p == n)
+        assert prime_power_base(n) == (p if m == 1 else None)
 
 
 def candidate_for(rows):

@@ -179,6 +179,31 @@ def test_sign_dedup_uses_components():
     assert multisets(signed) == {((1, 0), (0, 1))}
 
 
+@given(st.data())
+def test_sign_patterns_are_the_column_negations_fixing_c(data):
+    """``_sign_patterns(C)`` is, as a set and without repeats, every
+    S in {+-1}^l with S C S = C, the identity first: random symmetric C
+    with l <= 6, half of them cut into zero blocks by a label per index."""
+    l = data.draw(st.integers(1, 6))
+    rows = [[0] * l for _ in range(l)]
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=l, max_size=l))
+    blocks = data.draw(st.booleans())
+    for i in range(l):
+        for j in range(i, l):
+            x = data.draw(st.integers(-2, 2))
+            rows[i][j] = rows[j][i] = 0 if blocks and labels[i] != labels[j] else x
+    c = M(rows)
+    patterns = gram._sign_patterns(c)
+    brute = {
+        s
+        for s in itertools.product((1, -1), repeat=l)
+        if all(s[i] * x * s[j] == x for i, row in enumerate(rows) for j, x in enumerate(row))
+    }
+    assert patterns[0] == (1,) * l
+    assert len(patterns) == len(set(patterns))
+    assert set(patterns) == brute
+
+
 def test_diag_constraints_pin_rows():
     c = M([[5, 2], [2, 4]])
     pinned = solve(
@@ -263,6 +288,39 @@ def test_orthogonal_column_examples():
 
     q10 = M([[1, 0]] * 6 + [[0, 1]] * 3 + [[1, 1]])
     assert solve_orthogonal_column(q10, 9, zero_rows={9}) == []
+
+
+def test_orthogonal_column_rechecks_every_column():
+    """A find of the kernel corrupted in one entry never comes back as a
+    column. On the 7-row Q1 with g = 9 (6 columns), each change by +-1 of
+    each entry of each find either raises InvariantError or, when the sign
+    rule drops every arrangement of the corrupted find, leaves only true
+    columns."""
+    q7 = M([[2, 0], [1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [1, 1]])
+    search = gram._kernel.search_rows
+    finds = []
+
+    def spy(*args):
+        finds.extend(search(*args))
+        return list(finds)
+
+    with mock.patch.object(gram._kernel, "search_rows", spy):
+        truth = solve_orthogonal_column(q7, 9, zero_rows={6})
+    assert len(truth) == 6
+    raised = 0
+    for i, rows in enumerate(finds):
+        for j, (x,) in enumerate(rows):
+            for delta in (1, -1):
+                bad = list(finds)
+                bad[i] = (*rows[:j], (x + delta,), *rows[j + 1:])
+                with mock.patch.object(gram._kernel, "search_rows", return_value=bad):
+                    try:
+                        cols = solve_orthogonal_column(q7, 9, zero_rows={6})
+                    except InvariantError:
+                        raised += 1
+                    else:
+                        assert set(cols) <= set(truth)
+    assert raised
 
 
 def test_orthogonal_column_unsigned():

@@ -3,7 +3,6 @@ the sign classes built from its sequences."""
 
 import itertools
 from math import isqrt
-from operator import mul
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -156,22 +155,14 @@ def test_reach_prune_matches_unpruned_free_search(data):
 
 def search_with_columns(c, runs, min_rows, cols):
     """The kernel's sequences for the runs of C with fixed columns ``cols``
-    (each with one entry per row, equal along each run), cut back to l
-    entries per row: it gets the columns as coordinates u appended to the
-    rows of each run, one augmented list per run, against the target
-    diag(C, U^t U)."""
-    l = len(c)
-    aug_runs = []
+    (each with one entry per row, equal along each run): each run's fixed
+    row holds the columns' entries at its rows."""
+    fixed = []
     start = 0
-    for cands, n in runs:
-        u = tuple(col[start] for col in cols)
-        aug_runs.append(([r + u for r in cands], n))
+    for _, n in runs:
+        fixed.append(tuple(col[start] for col in cols))
         start += n
-    target = [list(row) + [0] * len(cols) for row in c] + [
-        [0] * l + [sum(map(mul, u, v)) for v in cols] for u in cols
-    ]
-    found = _kernel.search_rows(target, aug_runs, min_rows)
-    return [tuple(r[:l] for r in rows) for rows in found]
+    return _kernel.search_rows(c, runs, min_rows, fixed)
 
 
 @given(st.data())
@@ -276,6 +267,52 @@ def test_fixed_coordinates_past_two_to_the_53_match_unpruned_search():
     for scale in (1, 3**40):
         cols = [[scale * x for x in col] for col in zip(*q1)]
         assert search_with_columns(c, runs, k, cols) == expected
+
+
+def appended_by_hand(c, runs, fixed):
+    """The target and runs of a search with fixed rows stated without
+    ``fixed``: u_t appended to every candidate of run t, against
+    diag(C, U^t U) with U the rows u_t, n_t times each."""
+    l, m = len(c), len(fixed[0])
+    u_rows = [u for (_, n), u in zip(runs, fixed) for _ in range(n)]
+    target = [list(row) + [0] * m for row in c] + [
+        [0] * l + [sum(u[a] * u[b] for u in u_rows) for b in range(m)] for a in range(m)
+    ]
+    return target, [([r + u for r in cands], n) for (cands, n), u in zip(runs, fixed)]
+
+
+ZERO, ONE = [(0,)], [(1,), (0,)]
+COLUMN = [(x,) for x in range(3, -4, -1)]
+PAIR = [r for r in box([[6, 1], [1, 1]], True) if any(r)]
+
+
+@pytest.mark.parametrize(
+    "c, runs, fixed",
+    [
+        # runs of the zero row with u != 0: only the appended entry makes
+        # that row nonzero, which lets the row-count prune end the first
+        # search at its root and cut the fourth from 123 PSD checks to 77
+        ([[1]], [([(1,), (-1,)], 2), (ZERO, 1)], [(0,), (1,)]),
+        ([[2]], [([(1,), (-1,)], 2), (ZERO, 2)], [(0,), (1,)]),
+        ([[1]], [(ONE, 3), (ZERO, 1)], [(0,), (1,)]),
+        ([[6, 1], [1, 1]], [(PAIR, 3), (PAIR, 2), ([(0, 0)], 3)], [(0,), (0,), (1,)]),
+        # the orthogonal column of the 7-row Q1 with g = 9, one run per class
+        ([[9]], [(COLUMN, 1), (COLUMN, 2), (COLUMN, 3)], [(2, 0), (1, 0), (0, 1)]),
+    ],
+)
+def test_fixed_rows_walk_the_tree_of_rows_appended_by_hand(c, runs, fixed, monkeypatch):
+    """Fixed rows given to the kernel and the same rows appended by the
+    caller against diag(C, U^t U) make the same PSD checks and the same
+    finds, cut back to C's coordinates."""
+    checks = []
+    is_psd = _kernel_py._is_psd
+    monkeypatch.setattr(_kernel_py, "_is_psd", lambda a: checks.append(a) or is_psd(a))
+    k = sum(n for _, n in runs)
+    own = _kernel.search_rows(c, runs, k, fixed)
+    own_checks = len(checks)
+    by_hand = _kernel.search_rows(*appended_by_hand(c, runs, fixed), k)
+    assert own == [tuple(r[:len(c)] for r in rows) for rows in by_hand]
+    assert own_checks == len(checks) - own_checks
 
 
 def drawn_q0(draw, l, k_max):
