@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .intmat import CANONICAL_DIM_BOUND, IntMatrix, canonical_perm_form
 from .cartan import is_prime
@@ -21,6 +21,11 @@ from .cartan import is_prime
 # the tree step puts e x e Cartan matrices in canonical form, so the edge
 # count is bounded by the dimension the canonical form admits
 EDGE_BOUND = CANONICAL_DIM_BOUND
+
+# the dimension and the multiplicity stop here: p = e * m + 1 <= 8 * bound + 1
+# is tested by trial division up to once per marked tree (485 for e <= 8),
+# so each test must stay short
+PARAMETER_BOUND = 10**6
 
 
 class BrauerTreeError(ValueError):
@@ -53,6 +58,10 @@ class BrauerTree:
             raise BrauerTreeError("exceptional vertex not in tree")
         if self.multiplicity < 1:
             raise BrauerTreeError("multiplicity must be at least 1")
+        if self.multiplicity > PARAMETER_BOUND:
+            raise BrauerTreeError(
+                f"multiplicity {self.multiplicity} exceeds bound {PARAMETER_BOUND}"
+            )
         # acyclic + connected follows from |E| = |V| - 1 + connectivity
         seen = {0}
         frontier = [0]
@@ -163,41 +172,56 @@ def _free_code(edges) -> str:
     return "|".join(sorted([_rooted_code(adj, a, b), _rooted_code(adj, b, a)]))
 
 
-def _free_trees(e: int) -> list[tuple[tuple[int, int], ...]]:
+@cache
+def _free_trees(e: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Free trees with e edges, one representative per isomorphism class,
-    grown by attaching leaves."""
+    grown from those with e - 1 edges by attaching a leaf. Memoized, so
+    each size is grown once per process."""
     if e < 1:
         raise BrauerTreeError("need at least one edge")
-    current: dict[str, tuple[tuple[int, int], ...]] = {
-        _free_code(((0, 1),)): ((0, 1),)
-    }
-    for size in range(2, e + 1):
-        grown: dict[str, tuple[tuple[int, int], ...]] = {}
-        for edges in current.values():
-            for v in range(size):
-                new = edges + ((v, size),)
-                grown.setdefault(_free_code(new), new)
-        current = grown
-    return list(current.values())
+    if e == 1:
+        return (((0, 1),),)
+    grown: dict[str, tuple[tuple[int, int], ...]] = {}
+    for edges in _free_trees(e - 1):
+        for v in range(e):
+            new = edges + ((v, e),)
+            grown.setdefault(_free_code(new), new)
+    return tuple(grown.values())
 
 
-def enumerate_trees(e: int, multiplicity: int = 1) -> list[BrauerTree]:
-    """Marked trees with e edges, one per isomorphism class of the pair
-    (tree, exceptional vertex), vertex choices identified under tree
-    automorphisms. The marking is enumerated even for multiplicity 1, where
-    it does not affect the Cartan matrix."""
-    if e > EDGE_BOUND:
-        raise BrauerTreeError(f"edge count {e} exceeds bound {EDGE_BOUND}")
+@cache
+def _marked_trees(e: int) -> tuple[tuple, ...]:
+    """Marked trees with e edges as plain tuples ``(edges, exceptional,
+    deg(exceptional)^2, rest)``, where rest sums deg(v)^2 over the other
+    vertices, so a tree with multiplicity m has dimension
+    m * deg(exceptional)^2 + rest. Markings are identified under tree
+    automorphisms, in ``_free_trees`` order. Memoized, and immutable so
+    that every caller may share it."""
     out = []
     for edges in _free_trees(e):
+        adj = _adjacency(edges)
+        squares = [len(adj[v]) ** 2 for v in range(e + 1)]
         seen = set()
         for v in range(e + 1):
             code = _marked_code(edges, v)
             if code in seen:
                 continue
             seen.add(code)
-            out.append(BrauerTree(edges, exceptional=v, multiplicity=multiplicity))
-    return out
+            out.append((edges, v, squares[v], sum(squares) - squares[v]))
+    return tuple(out)
+
+
+def enumerate_trees(e: int, multiplicity: int = 1) -> list[BrauerTree]:
+    """Marked trees with e edges, one per isomorphism class of the pair
+    (tree, exceptional vertex), vertex choices identified under tree
+    automorphisms. The marking is enumerated even for multiplicity 1, where
+    it does not affect the Cartan matrix. Each call returns new trees."""
+    if e > EDGE_BOUND:
+        raise BrauerTreeError(f"edge count {e} exceeds bound {EDGE_BOUND}")
+    return [
+        BrauerTree(edges, exceptional=v, multiplicity=multiplicity)
+        for edges, v, _, _ in _marked_trees(e)
+    ]
 
 
 def _is_path(t: BrauerTree) -> bool:
@@ -284,17 +308,18 @@ def classify_defect1(dim: int) -> list[DefectOneMatch]:
     """
     if dim < 1:
         raise BrauerTreeError("dimension must be positive")
+    if dim > PARAMETER_BOUND:
+        raise BrauerTreeError(f"dimension {dim} exceeds bound {PARAMETER_BOUND}")
     out = []
     seen = set()
     # a tree with e edges has dimension at least 4e - 2 (the path, m = 1)
     for e in range(1, min(EDGE_BOUND, (dim + 2) // 4) + 1):
-        for t in enumerate_trees(e):
-            exc2 = t.degree(t.exceptional) ** 2
-            m, r = divmod(dim - dim_of_tree(t) + exc2, exc2)
+        for edges, exceptional, exc2, rest in _marked_trees(e):
+            m, r = divmod(dim - rest, exc2)
             p = e * m + 1
             if r or m < 1 or not is_prime(p):
                 continue
-            tree = BrauerTree(t.edges, t.exceptional, m)
+            tree = BrauerTree(edges, exceptional, m)
             cartan = canonical_perm_form(cartan_of_tree(tree))
             key = (cartan, m, p)
             if key in seen:

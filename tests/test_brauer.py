@@ -48,8 +48,76 @@ def test_enumeration_matches_permutation_orbits(e):
     assert keys == marked_tree_classes(e)
 
 
+# trees on e + 1 vertices for e = 1..8: rooted ones (OEIS A000081) are the
+# marked trees, free ones (OEIS A000055) are the shapes
+ROOTED_TREES = [1, 2, 4, 9, 20, 48, 115, 286]
+FREE_TREES = [1, 1, 2, 3, 6, 11, 23, 47]
+
+
 def test_known_counts():
-    assert [len(enumerate_trees(e)) for e in (1, 2, 3, 4)] == [1, 2, 4, 9]
+    assert [len(enumerate_trees(e)) for e in range(1, 9)] == ROOTED_TREES
+    assert [len(brauer._free_trees(e)) for e in range(1, 9)] == FREE_TREES
+
+
+def test_returned_trees_share_no_state():
+    """The memoized tables hand out nothing mutable: changing a returned
+    list or a tree's adjacency leaves later calls as they were."""
+    dims = range(13, 20)
+    before = [[r.to_obj() for r in classify_defect1(n)] for n in dims]
+    trees = enumerate_trees(4)
+    expected = [(t.edges, t.exceptional, t.degree(t.exceptional)) for t in trees]
+    for t in trees:
+        t.adjacency[t.exceptional].append(t.exceptional)
+        t.adjacency.clear()
+    trees.reverse()
+    trees.pop()
+    again = enumerate_trees(4)
+    assert [(t.edges, t.exceptional, t.degree(t.exceptional)) for t in again] == expected
+    assert [[r.to_obj() for r in classify_defect1(n)] for n in dims] == before
+    for bad in ((0,), (-1,), (9,), (3, 0)):
+        with pytest.raises(BrauerTreeError):
+            enumerate_trees(*bad)
+
+
+def test_marked_trees_are_built_once_per_edge_count(monkeypatch):
+    """With the memo cleared, classify_defect1 for n = 1..40 computes the
+    tree codes of one cold build for e = 1..8 and no more: no edge count
+    is enumerated again for another dimension. Shape names compute codes
+    of their own, so they are left out of the count."""
+    calls = []
+
+    def counted(code):
+        def wrapper(*args):
+            calls.append(code.__name__)
+            return code(*args)
+        return wrapper
+
+    monkeypatch.setattr(brauer, "_free_code", counted(brauer._free_code))
+    monkeypatch.setattr(brauer, "_marked_code", counted(brauer._marked_code))
+    monkeypatch.setattr(brauer, "shape_name", lambda t: "")
+
+    def cold():
+        brauer._free_trees.cache_clear()
+        brauer._marked_trees.cache_clear()
+        calls.clear()
+
+    def counts():
+        return calls.count("_free_code"), calls.count("_marked_code")
+
+    cold()
+    for e in range(1, 9):
+        brauer._marked_trees(e)
+    build = counts()
+    # each free tree with s - 1 edges grows a leaf at each of its s vertices,
+    # and each free tree with e edges is marked at each of its e + 1
+    assert build == (
+        sum(FREE_TREES[s - 2] * s for s in range(2, 9)),
+        sum(n * (e + 2) for e, n in enumerate(FREE_TREES)),
+    )
+    cold()
+    for n in range(1, 41):
+        classify_defect1(n)
+    assert counts() == build
 
 
 def test_tree_validation():

@@ -410,6 +410,28 @@ def test_brauer_trees_cli(capsys):
     assert code == EXIT_OK and "path4" in out
 
 
+def test_brauer_trees_parameter_bound(capsys):
+    """Dimension and multiplicity up to the bound are answered; above it,
+    including primes near 2^61 that trial division would take minutes or
+    more on, the input is refused at once."""
+    from blocksmith.brauer import PARAMETER_BOUND as bound
+
+    code, env = run_json(capsys, "brauer-trees", "--edges", "1",
+                         "--multiplicity", str(bound))
+    assert code == EXIT_OK and env["payload"]["trees"][0]["m"] == bound
+    code, env = run_json(capsys, "brauer-trees", "--dim", str(bound))
+    assert code == EXIT_OK
+    for args in (
+        ("--edges", "1", "--multiplicity", str(bound + 1)),
+        ("--dim", str(bound + 1)),
+        ("--edges", "1", "--multiplicity", "2305843009213693950"),  # p = 2^61 - 1
+        ("--dim", "2305843009213693953"),
+    ):
+        code, env = run_json(capsys, "brauer-trees", *args)
+        assert code == EXIT_INVALID and env["status"] == "invalid_input", args
+        assert "exceeds bound" in env["payload"]["error"], args
+
+
 def test_casebook_cli(tmp_path, capsys):
     report_path = tmp_path / "r13.json"
     code, env = run_json(
