@@ -27,7 +27,7 @@ from .cartan import (
 )
 from .contrib import contribution_matrix, heights_from_contribution
 from .gram import GramProblem, GramSolution, row_forms, solve, solve_orthogonal_column
-from .intmat import IntMatrix, adjugate_and_det, matrix_from_obj, p_adic_valuation
+from .intmat import IntMatrix, matrix_from_obj, p_adic_valuation
 
 # Rule schema. A field holds an int, bool or str (exactly that type), a
 # list[int] or list[str], a matrix (IntMatrix), anything (object), a row count
@@ -311,19 +311,21 @@ def _outcome_matches(expected: Any, actual: Any) -> bool:
 
 
 class _Engine:
-    def __init__(self, dimension: int, data: dict, catalog: dict[str, LocalDatum]):
-        self.dimension = dimension
+    def __init__(self, data: dict, catalog: dict[str, LocalDatum]):
         self.data = data
         self.catalog = catalog
-        # artifacts: (candidate, rule_id) -> solver products
-        self.artifacts: dict[tuple[IntMatrix, str], dict] = {}
+        # (candidate, rule_id) -> the Gram solutions of that solver rule;
+        # an orthogonal-column rule stores none
+        self.solutions: dict[tuple[IntMatrix, str], list[GramSolution]] = {}
+
+    def stored_solutions(self, cand: IntMatrix, rule_id: str) -> list[GramSolution]:
+        if (cand, rule_id) not in self.solutions:
+            raise CasebookError(f"rule {rule_id!r} has no stored artifacts")
+        return self.solutions[cand, rule_id]
 
     def resolve_q1(self, cand: IntMatrix, spec_: dict) -> IntMatrix:
-        key = (cand, spec_["rule"])
-        if key not in self.artifacts:
-            raise CasebookError(f"rule {spec_['rule']!r} has no stored artifacts")
         want = spec_.get("row_count")
-        sols = self.artifacts[key].get("solutions", [])
+        sols = self.stored_solutions(cand, spec_["rule"])
         matches = [s for s in sols if want is None or s.q.row_count == want]
         if len(matches) != 1:
             raise CasebookError(
@@ -369,7 +371,7 @@ class _Engine:
         }
         if not sols:
             outcome["proved_empty"] = True
-        self.artifacts[(cand.matrix, rule.rule_id)] = {"solutions": sols}
+        self.solutions[cand.matrix, rule.rule_id] = sols
 
         if params.get("contribution"):
             defect = params.get("defect_order", cand_defect(cand))
@@ -409,8 +411,8 @@ class _Engine:
         p = filt["p"]
         required = filt["required_valuation"]
         indices = filt["row_indices"]
-        adj, d = adjugate_and_det(gram)
-        forms = row_forms(adj)
+        forms = row_forms(gram)
+        d = forms.det
         survivors = []
         for s in sols:
             ok = True
@@ -447,7 +449,7 @@ class _Engine:
         outcome: dict = {"column_count": len(cols)}
         if not cols:
             outcome["proved_empty"] = True
-        self.artifacts[(cand.matrix, rule.rule_id)] = {"columns": cols}
+        self.solutions[cand.matrix, rule.rule_id] = []
         return outcome
 
     def run_congruence_rule(self, cand: CartanCandidate, rule: CaseRule) -> dict:
@@ -474,13 +476,8 @@ class _Engine:
         outcome: dict = {"k": k}
         match_rule = rule.params.get("match_rule")
         if match_rule:
-            key = (cand.matrix, match_rule)
-            if key not in self.artifacts:
-                raise CasebookError(f"rule {match_rule!r} has no stored artifacts")
-            counts = sorted(
-                s.q.row_count for s in self.artifacts[key].get("solutions", [])
-            )
-            outcome["row_count_match"] = k in counts
+            sols = self.stored_solutions(cand.matrix, match_rule)
+            outcome["row_count_match"] = k in (s.q.row_count for s in sols)
         return outcome
 
 
@@ -533,7 +530,7 @@ def run_dimension(
         rules_by_candidate.setdefault(rule.candidate, []).append(rule)
 
     tree_matches = {r.cartan: r for r in classify_defect1(n)}
-    engine = _Engine(n, data, catalog)
+    engine = _Engine(data, catalog)
     run_rule = {
         "solver_run": engine.run_solver_rule,
         "congruence": engine.run_congruence_rule,

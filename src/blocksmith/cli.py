@@ -21,7 +21,6 @@ from .brauer import (
     BrauerTreeError,
     classify_defect1,
     cartan_of_tree,
-    dim_of_tree,
     enumerate_trees,
     invariants_of_tree,
     shape_name,
@@ -326,16 +325,16 @@ def _cmd_heights(args) -> tuple[dict, int, str | None]:
     return _envelope("heights", inputs, "ok", payload), EXIT_OK, None
 
 
-def _tree_obj(tree, m: int) -> dict:
+def _tree_obj(tree, cartan: IntMatrix) -> dict:
     inv = invariants_of_tree(tree)
     return {
         "tree_code": _marked_code(tree.edges, tree.exceptional),
         "shape": shape_name(tree),
         "exceptional_vertex": tree.exceptional,
-        "m": m,
+        "m": tree.multiplicity,
         "p": inv.p,
-        "cartan": cartan_of_tree(tree).to_lists(),
-        "dim": dim_of_tree(tree),
+        "cartan": cartan.to_lists(),
+        "dim": inv.dim_a,
         "k": inv.k,
         "l": inv.l,
     }
@@ -344,16 +343,11 @@ def _tree_obj(tree, m: int) -> dict:
 def _cmd_brauer_trees(args) -> tuple[dict, int, str | None]:
     if args.edges is not None:
         trees = enumerate_trees(args.edges, multiplicity=args.multiplicity)
-        rows = [_tree_obj(t, args.multiplicity) for t in trees]
+        rows = [_tree_obj(t, cartan_of_tree(t)) for t in trees]
         inputs: dict = {"edges": args.edges, "multiplicity": args.multiplicity}
     else:
-        matches = classify_defect1(args.dim)
-        rows = []
-        for r in matches:
-            obj = _tree_obj(r.tree, r.multiplicity)
-            obj["shape"] = r.shape
-            obj["cartan"] = r.cartan.to_lists()
-            rows.append(obj)
+        # a match carries its Cartan matrix in canonical permutation form
+        rows = [_tree_obj(r.tree, r.cartan) for r in classify_defect1(args.dim)]
         inputs = {"dim": args.dim}
     text = None
     if args.format == "table":

@@ -4,10 +4,10 @@ carry.
 For Q with Q^t Q = C and defect order |D|, the contribution matrix is
 M = |D| * Q * C^{-1} * Q^t. It is an exact integer matrix, symmetric,
 idempotent up to the scale |D| (M * M = |D| * M), and has trace |D| * l.
-Its entries are the row forms r.adj(C).s^t of ``gram.row_forms``, one memo
-per adjugate, keyed on the adjugate, read once per pair of distinct rows of
-Q; all three laws are checked on every matrix built, the idempotence once
-per pair of distinct rows of M.
+Its entries are the row forms r.adj(C).s^t of ``gram.row_forms``, the one
+cache of adj(C), det C and the row forms of C, read once per pair of
+distinct rows of Q; all three laws are checked on every matrix built, the
+idempotence once per pair of distinct rows of M.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from typing import Sequence
 
 from .cartan import is_prime
 from .gram import row_forms
-from .intmat import (
-    IntMatrix,
-    InvariantError,
-    MatrixError,
-    adjugate_and_det,
-    p_adic_valuation,
-)
+from .intmat import IntMatrix, InvariantError, p_adic_valuation
 
 
 class ContributionError(ValueError):
@@ -57,11 +51,10 @@ class HeightProfile:
 def contribution_matrix(
     q: IntMatrix, c: IntMatrix, defect_order: int
 ) -> ContributionResult:
-    """|D| * Q * C^{-1} * Q^t, computed exactly via the adjugate, which is
-    shared with the Gram search of C (``adjugate_and_det``). Entry (i, j)
-    is |D| * r_i.adj.r_j^t / det C, read for each pair of distinct rows of
-    Q from the memo ``gram.row_forms`` of that adjugate, keyed on the
-    adjugate itself, and spread to the rows of Q; Q may be any matrix with
+    """|D| * Q * C^{-1} * Q^t, computed exactly via the adjugate. Entry
+    (i, j) is |D| * r_i.adj.r_j^t / det C, read for each pair of distinct
+    rows of Q from ``gram.row_forms`` of C, which the Gram search of C
+    shares, and spread to the rows of Q; Q may be any matrix with
     Q^t Q = C. Symmetry, M * M = |D| * M and the trace |D| * l are checked
     on the spread matrix; given symmetry, the product law is the same
     predicate checked once per pair of distinct rows of M."""
@@ -69,12 +62,12 @@ def contribution_matrix(
         raise ContributionError("defect order must be positive")
     if q.col_count != c.col_count or not c.is_square:
         raise ContributionError("shape mismatch between decomposition and Gram matrix")
-    adj, d = adjugate_and_det(c)
+    forms = row_forms(c)
+    d = forms.det
     if d == 0:
         raise ContributionError("Gram matrix is singular")
     if q.transpose().matmul(q) != c:
         raise ContributionError("Q^t Q does not reproduce the Gram matrix")
-    forms = row_forms(adj)
     distinct = list(dict.fromkeys(q.rows))
     u = len(distinct)
     where = dict(zip(distinct, count()))

@@ -25,11 +25,11 @@ columns) is built once per problem and cached on it. The solution list is
 ordered by (row count, repr of the rows) through ranks of the distinct
 rows, with no repr per solution (``_sort_forms``).
 
-The row form r.adj(C).s^t has one memo per adjugate (``row_forms``), keyed
-on the adjugate itself rather than on C. The pool build fills its (r, r)
-entries once per target, and every later reader (verification, the
-diagonal filter, the casebook valuation filter and the contribution
-matrix) looks the values up instead of evaluating them per solution.
+adj(C), det C and the row forms r.adj(C).s^t of a target come from one
+cache keyed on C (``row_forms``). The pool build fills its (r, r) entries
+once per target, and every later reader (verification, the diagonal
+filter, the casebook valuation filter and the contribution matrix) looks
+the values up instead of evaluating them per solution.
 """
 
 from __future__ import annotations
@@ -142,13 +142,17 @@ class GramProblem:
                 raise GramInputError("row_count conflicts with pinned inputs")
 
     @cached_property
-    def _checks(self) -> tuple[list[int] | None, range | None, set[int], list[Row]]:
+    def _checks(
+        self,
+    ) -> tuple[list[int] | None, range | None, set[int], list[Row], RowForms | None]:
         """What ``verify_solution`` reads from the problem alone, built on
         its first call: the upper triangle of C, row-major (None when C is
         not symmetric, as then no Q has Q^t Q = C), the allowed row counts
         (None for any), the row counts of the fixed blocks and their
-        columns, side by side. A cached property is not a field, so
-        equality and the hash stay those of the fields."""
+        columns, side by side, and the ``row_forms`` entry of C (None with
+        the upper triangle, which ``verify_solution`` checks first). A
+        cached property is not a field, so equality and the hash stay those
+        of the fields."""
         c = self.target_gram.rows
         upper = [x for i, row in enumerate(c) for x in row[i:]] if c == tuple(zip(*c)) else None
         k = self.pinned_row_count()
@@ -160,7 +164,8 @@ class GramProblem:
             counts = None if window is None else range(window[0], window[1] + 1)
         block_rows = {b.row_count for b in self.fixed_blocks}
         fixed_cols = [col for b in self.fixed_blocks for col in zip(*b.rows)]
-        return upper, counts, block_rows, fixed_cols
+        forms = None if upper is None else row_forms(self.target_gram)
+        return upper, counts, block_rows, fixed_cols, forms
 
 
 @dataclass(frozen=True)
@@ -177,12 +182,14 @@ def row_quad(r: Sequence[int], adj: IntMatrix, s: Sequence[int] | None = None) -
 
 
 class RowForms(dict):
-    """The memo of one adjugate: (r, s) -> r . adj . s^t for row tuples r
-    and s, each pair evaluated by ``row_quad`` on its first read."""
+    """The memo of one target C: (r, s) -> r . adj . s^t for row tuples r
+    and s, each pair evaluated by ``row_quad`` on its first read, with
+    adj = adj(C) and det = det C."""
 
-    def __init__(self, adj: IntMatrix) -> None:
+    def __init__(self, adj: IntMatrix, det: int) -> None:
         super().__init__()
         self.adj = adj
+        self.det = det
 
     def __missing__(self, key: tuple[Row, Row]) -> int:
         r, s = key
@@ -191,14 +198,14 @@ class RowForms(dict):
 
 
 @lru_cache(maxsize=32)
-def row_forms(adj: IntMatrix) -> RowForms:
-    """The row-form memo of ``adj``, keyed on the adjugate the caller got
-    (not on C), so a wrong or patched adjugate never reads entries computed
-    from another one. Bounded like ``adjugate_and_det``. The pool build
-    fills the (r, r) entries of every row of the box; ``verify_solution``,
-    the pinned diagonal filter, the casebook valuation filter and
+def row_forms(c: IntMatrix) -> RowForms:
+    """adj(C), det C and the row-form memo of the square matrix C, built
+    from ``adjugate_and_det`` on the first call for C and kept for the 32
+    latest targets. The pool build fills the (r, r) entries of every row of
+    the box; ``verify_solution`` (through ``GramProblem._checks``), the
+    pinned diagonal filter, the casebook valuation filter and
     ``contrib.contribution_matrix`` read from it."""
-    return RowForms(adj)
+    return RowForms(*adjugate_and_det(c))
 
 
 def _quad_limit(d: int) -> int:
@@ -208,16 +215,14 @@ def _quad_limit(d: int) -> int:
 
 
 def row_is_valid(r: Sequence[int], adj: IntMatrix, d: int) -> bool:
-    r = tuple(r)
-    return row_forms(adj)[r, r] <= _quad_limit(d)
+    return row_quad(r, adj) <= _quad_limit(d)
 
 
 def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:
     """Candidate rows, sorted decreasing; zero row excluded. Fills the memo
-    of adj(C) with r . adj . r^t for every nonzero row of the box."""
-    adj, d = adjugate_and_det(c)
-    forms = row_forms(adj)
-    limit = _quad_limit(d)
+    of C with r . adj . r^t for every nonzero row of the box."""
+    forms = row_forms(c)
+    limit = _quad_limit(forms.det)
     bounds = [isqrt(c.rows[j][j]) for j in range(c.col_count)]
     ranges = [
         range(-b, b + 1) if signed else range(0, b + 1) for b in bounds
@@ -439,8 +444,8 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
         lo, hi = p.row_window() or (1, trace)
         groups = [range(min(hi, trace))]
         pad = not p.require_nonzero_rows and p.row_count is not None
-    adj, d = adjugate_and_det(c)
-    forms = row_forms(adj)
+    forms = row_forms(c)
+    d = forms.det
     runs: list[tuple[list[Row], int]] = []
     fixed: list[Row] = []
     sign_free: list[bool] = []
@@ -580,18 +585,17 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
     each fixed block B and the contribution diagonal. No intermediate
     matrix is built. What depends on the problem alone (the symmetry and
     upper triangle of C, the allowed row counts, the fixed-block columns)
-    is built once per problem, ``GramProblem._checks``. The adjugate and
-    det come from ``adjugate_and_det`` on every call, and the row bound
-    and the contribution diagonal read r . adj . r^t from the memo of
-    ``row_forms`` keyed on that adjugate; in a free solve the pool build
-    has already filled every entry read."""
+    is built once per problem, ``GramProblem._checks``, together with the
+    ``row_forms`` entry of C: the row bound and the contribution diagonal
+    read det C and r . adj . r^t from it, with no lookup per solution; in
+    a free solve the pool build has already filled every entry read."""
     q = s.q
     c = p.target_gram
     if q.col_count != c.col_count:
         raise MatrixError("solution has wrong column count")
     rows = q.rows
     n = len(rows)
-    upper, counts, block_rows, fixed_cols = p._checks
+    upper, counts, block_rows, fixed_cols, forms = p._checks
     if counts is not None and n not in counts:
         return False
     # once C = C^t, the upper triangle of Q^t Q settles Q^t Q = C
@@ -612,8 +616,7 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
                 return False
             if not forced_zero and p.require_nonzero_rows and not any(row):
                 return False
-    adj, d = adjugate_and_det(c)
-    forms = row_forms(adj)
+    d = forms.det
     limit = _quad_limit(d)
     for row in set(rows):
         if any(row) and forms[row, row] > limit:

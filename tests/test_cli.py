@@ -139,6 +139,45 @@ def test_row_window_without_the_pinned_count_is_invalid_input(capsys, pinned):
     assert env["payload"]["error"] == "row_count conflicts with pinned inputs"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rows", "3..2"], "bad row-count range"),
+        (["--defect-order", "0"], "defect order must be positive"),
+        (["--signed", "--fixed", "[[1],[-1]]", "--fixed", "[[1],[0],[-1]]"],
+         "fixed blocks disagree on row count"),
+        (["--zero-rows", "0"],
+         "zero rows alone do not determine the row count; give row_count"),
+        (["--fixed", "[[1],[-1]]", "--diag", "1,1,0", "--defect-order", "2"],
+         "diag constraint length mismatch"),
+        (["--rows", "2", "--zero-rows", "2"], "zero-row index out of range"),
+    ],
+)
+def test_malformed_gram_problem_is_invalid_input(capsys, argv, message):
+    code, env = run_json(capsys, "solve-gram", "--gram", "[[2]]", *argv)
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert env["command"] == "solve-gram"
+    assert env["payload"]["error"] == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-gram", "--gram", "[[2]]", "--diag", "a,b"],
+         "expected comma-separated integers, got 'a,b'"),
+        (["solve-gram", "--gram", "[[2]]", "--rows", "1..x"], "bad row-count range '1..x'"),
+        (["solve-gram", "--gram", "[[2]]", "--rows", "x"], "bad row count 'x'"),
+        (["contribution", "--q", "[[1],[1]]", "--c", "[[2]]", "--defect-order", "2",
+          "--heights"], "--heights needs --p"),
+    ],
+)
+def test_malformed_argument_is_invalid_input(capsys, argv, message):
+    code, env = run_json(capsys, *argv)
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert env["command"] == argv[0]
+    assert env["payload"]["error"] == message
+
+
 def test_row_window_with_the_pinned_count_solves(capsys):
     code, env = run_json(
         capsys, "solve-gram", "--gram", "[[2]]", "--diag", "1,1", "--defect-order", "2",
@@ -335,6 +374,19 @@ def test_valid_probe_rule_runs(tmp_path, capsys):
              "valuation filter: contribution entry is not integral")
             for order in (2, 5)
         ),
+        # rules that pass the schema but name data or rules that are not there
+        (probe_rule(params={"gram_from_data": "fake_cartans.absent"}),
+         "data key 'fake_cartans.absent' is absent"),
+        (probe_rule(params={"fixed_from": {"rule": "absent"}}),
+         "rule 'absent' has no stored artifacts"),
+        (probe_rule(params={"orthogonal": {"gram_value": 9, "q1_from": {"rule": "absent"}}}),
+         "rule 'absent' has no stored artifacts"),
+        (probe_rule(kind="brauer_count", params={"quotient": "C2", "match_rule": "absent"}),
+         "rule 'absent' has no stored artifacts"),
+        (probe_rule(kind="brauer_count", params={"quotient": "C99"}),
+         "unknown inertial quotient 'C99'"),
+        (probe_rule(kind="congruence", params={"p": 2, "quotients": ["C2", "C99"]}),
+         "unknown inertial quotient 'C99'"),
     ],
 )
 def test_malformed_rule_is_invalid_input(tmp_path, capsys, rule, message):
@@ -378,6 +430,20 @@ def test_contribution_and_heights(capsys):
         "--defect-order", "8",
     )
     assert code == EXIT_INVALID  # non-integral contribution
+
+
+def test_heights_from_a_matrix(capsys):
+    """``heights --matrix`` reads the diagonal of a contribution matrix: the
+    heights of ``contribution --heights`` on the same data."""
+    args = ["--q", "[[2,1],[0,1],[0,1],[0,1],[1,0]]", "--c", "[[5,2],[2,4]]",
+            "--defect-order", "16"]
+    code, contribution = run_json(capsys, "contribution", *args, "--heights", "--p", "2")
+    assert code == EXIT_OK
+    matrix = json.dumps(contribution["payload"]["matrix"])
+    code, env = run_json(capsys, "heights", "--matrix", matrix, "--p", "2")
+    assert code == EXIT_OK and env["status"] == "ok"
+    assert env["payload"] == {"heights": [0, 0, 0, 0, 1], "height_zero_count": 4}
+    assert env["payload"]["heights"] == contribution["payload"]["heights"]
 
 
 def test_composite_p_is_invalid_input(capsys):

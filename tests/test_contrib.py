@@ -53,6 +53,12 @@ def test_contribution_shape_checks():
         contribution_matrix(Q5, C54, 0)
 
 
+def test_contribution_of_a_singular_gram_matrix_is_refused():
+    # Q^t Q = C holds, but C has no inverse
+    with pytest.raises(ContributionError, match="Gram matrix is singular"):
+        contribution_matrix(M([[1, 1]]), M([[1, 1], [1, 1]]), 4)
+
+
 def test_heights():
     prof = heights_from_contribution(contribution_matrix(Q5, C54, 16), 2)
     assert prof.heights == (0, 0, 0, 0, 1)
@@ -114,7 +120,7 @@ Q5Z = M([[2, 1], [0, 1], [0, 1], [0, 1], [1, 0], [0, 0], [0, 0]])
 
 
 def _patched_adjugate(monkeypatch, adj, d):
-    monkeypatch.setattr(contrib, "adjugate_and_det", lambda m: (M(adj), d))
+    monkeypatch.setattr(contrib, "row_forms", lambda m: gram.RowForms(M(adj), d))
 
 
 def test_contribution_laws_catch_a_wrong_adjugate(monkeypatch):
@@ -132,11 +138,11 @@ def test_contribution_laws_catch_a_wrong_det(monkeypatch):
 
 
 def _corrupt_forms(monkeypatch, pairs, by=16):
-    """Read each of ``pairs`` from the row-form memo of adj(C54) ``by`` too
+    """Read each of ``pairs`` from the row-form memo of C54 ``by`` too
     high (with |D| = det C = 16, every entry of M it gives is ``by`` too
     high); undone after the test."""
     contribution_matrix(Q5Z, C54, 16)  # fills the memo
-    forms = gram.row_forms(M(ADJ54))
+    forms = gram.row_forms(C54)
     for r, s in pairs:
         monkeypatch.setitem(forms, (r, s), forms[r, s] + by)
 

@@ -1,9 +1,12 @@
-"""Golden outputs: SHA-256 digests of the CLI's casebook and tree outputs.
+"""Golden outputs: SHA-256 digests of the CLI's casebook, tree, Gram and
+contribution outputs.
 
-The digests were recorded from the code before the kernel took each run's
-fixed row, so a refactor that is meant to keep the output byte-identical
-shows here when it does not. A change that alters an output on purpose
-records the new digest and says why.
+The casebook and tree digests were recorded from the code before the kernel
+took each run's fixed row, and the Gram and contribution digests from the
+code before adj(C), det C and the row forms of a target moved into one
+cache, so a refactor that is meant to keep the output byte-identical shows
+here when it does not. A change that alters an output on purpose records
+the new digest and says why.
 """
 
 import hashlib
@@ -76,3 +79,41 @@ def test_brauer_tree_outputs_are_golden(capsys):
     """``brauer-trees --dim D`` for D = 20..40."""
     got = {dim: sha(stdout_of(capsys, "brauer-trees", "--dim", str(dim))) for dim in TREES}
     assert got == TREES
+
+
+# the 10-row solution of rule d13-27-solve, the fixed block of d13-27-d8-fake
+Q1_D13_27 = "[[1,1],[1,0],[1,0],[1,0],[1,0],[1,0],[1,0],[0,1],[0,1],[0,1]]"
+OUTPUTS = {
+    "solve-gram-signed-connected": (
+        ["solve-gram", "--gram", "[[5,1,1],[1,3,0],[1,0,2]]", "--signed"],
+        "5aba59227c34550cc3ec150422c51e90add5e82b0c0bd0dcd849a0f2566269ba",
+    ),
+    "solve-gram-signed-disconnected": (
+        ["solve-gram", "--gram", "[[5,0],[0,5]]", "--signed"],
+        "e0a44fb2b20e911ff4cdfc577fa64748f02ed69a1dc63659c90bad3e71929604",
+    ),
+    "solve-gram-d13-27-d8-fake": (
+        ["solve-gram", "--gram", "[[5,1],[1,2]]", "--signed", "--fixed", Q1_D13_27,
+         "--allow-zero-rows"],
+        "c420cb16cce72c5698190fc8a5c5de3e8e04ab48dd26142f16fdb928fa90f7a7",
+    ),
+    "solve-gram-diag": (
+        ["solve-gram", "--gram", "[[5,2],[2,4]]", "--rows", "5", "--diag", "13,4,5,5,5",
+         "--defect-order", "16"],
+        "e9885ca9d4b177b7e731639cbc187c891092e9f6d2e55fd1e112efa37d0d9f3d",
+    ),
+    "contribution-heights": (
+        ["contribution", "--q", "[[2,1],[0,1],[0,1],[0,1],[1,0]]", "--c", "[[5,2],[2,4]]",
+         "--defect-order", "16", "--heights", "--p", "2"],
+        "f56c57fdb41654d6774061ca98a75a0bb355cb63993dd4ca4622306b51e1591b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_gram_and_contribution_outputs_are_golden(capsys, name):
+    """Signed solves of a connected and a disconnected target, the pinned
+    signed solve of rule d13-27-d8-fake, a diagonal-constrained solve and
+    a contribution with heights."""
+    argv, digest = OUTPUTS[name]
+    assert sha(stdout_of(capsys, *argv)) == digest

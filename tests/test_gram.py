@@ -290,6 +290,16 @@ def test_orthogonal_column_examples():
     assert solve_orthogonal_column(q10, 9, zero_rows={9}) == []
 
 
+def test_orthogonal_column_input_validation():
+    q = M([[1, 0], [0, 1], [1, 1]])
+    for value in (0, -4):
+        with pytest.raises(GramInputError, match="gram value must be positive"):
+            solve_orthogonal_column(q, value)
+    for rows in ({3}, {-1}):
+        with pytest.raises(GramInputError, match="zero-row index out of range"):
+            solve_orthogonal_column(q, 3, zero_rows=rows)
+
+
 def test_orthogonal_column_rechecks_every_column():
     """A find of the kernel corrupted in one entry never comes back as a
     column. On the 7-row Q1 with g = 9 (6 columns), each change by +-1 of
@@ -606,16 +616,16 @@ def _contribution_or_law(q, c, defect_order):
 @given(targets_sharing_rows(), st.data())
 def test_row_form_readers_match_plain_products(targets, data):
     # each target is checked with its own adjugate and then with the next
-    # target's, returned by a patched adjugate_and_det: the values read must
-    # be those of the adjugate the caller got
+    # target's, returned by a patched row_forms: the values read must be
+    # those of the adjugate the caller got
     adjs = [(naive_adjugate(c), naive_det(c)) for _, c in targets]
     for t, (q, c) in enumerate(targets):
         for adj, d in (adjs[t], adjs[(t + 1) % len(targets)]):
             def fake(m, adj=M(adj), d=d):
-                return adj, d
+                return gram.RowForms(adj, d)
 
-            with mock.patch.object(gram, "adjugate_and_det", fake), mock.patch.object(
-                contrib, "adjugate_and_det", fake
+            with mock.patch.object(gram, "row_forms", fake), mock.patch.object(
+                contrib, "row_forms", fake
             ):
                 defect_order = data.draw(st.sampled_from([adjs[t][1], 1, 2, 3]))
                 expected = plain_contribution(q, c, adj, d, defect_order)
@@ -844,7 +854,7 @@ from blocksmith import InvariantError, IntMatrix, contrib, gram
 c = IntMatrix.from_rows([[5, 2], [2, 4]])
 q = IntMatrix.from_rows([[2, 1], [0, 1], [0, 1], [0, 1], [1, 0]])
 gram.verify_solution = lambda p, s: False
-contrib.adjugate_and_det = lambda m: (IntMatrix.identity(2).scale(16), 16)
+contrib.row_forms = lambda m: gram.RowForms(IntMatrix.identity(2).scale(16), 16)
 for check in (lambda: gram.solve(gram.GramProblem(c)),
               lambda: contrib.contribution_matrix(q, c, 16)):
     try:
