@@ -22,11 +22,6 @@ from .cartan import is_prime
 # count is bounded by the dimension the canonical form admits
 EDGE_BOUND = CANONICAL_DIM_BOUND
 
-# the dimension and the multiplicity stop here: p = e * m + 1 <= 8 * bound + 1
-# is tested by trial division up to once per marked tree (485 for e <= 8),
-# so each test must stay short
-PARAMETER_BOUND = 10**6
-
 
 class BrauerTreeError(ValueError):
     pass
@@ -39,6 +34,19 @@ def _adjacency(edges) -> dict[int, list[int]]:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     return adj
+
+
+def _distances(adj: dict[int, list[int]], source: int) -> dict[int, int]:
+    """Breadth-first distance from source to every vertex it reaches, in
+    the order the vertices are reached: the last one is farthest."""
+    dist = {source: 0}
+    queue = [source]
+    for u in queue:
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -58,20 +66,8 @@ class BrauerTree:
             raise BrauerTreeError("exceptional vertex not in tree")
         if self.multiplicity < 1:
             raise BrauerTreeError("multiplicity must be at least 1")
-        if self.multiplicity > PARAMETER_BOUND:
-            raise BrauerTreeError(
-                f"multiplicity {self.multiplicity} exceeds bound {PARAMETER_BOUND}"
-            )
         # acyclic + connected follows from |E| = |V| - 1 + connectivity
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != e + 1:
+        if len(_distances(self.adjacency, 0)) != e + 1:
             raise BrauerTreeError("edge set is not connected")
 
     @cached_property
@@ -99,17 +95,16 @@ class TreeInvariants:
 
 def cartan_of_tree(t: BrauerTree) -> IntMatrix:
     """Cartan matrix indexed by edges: diagonal w(u) + w(v), off-diagonal
-    the weight of the shared endpoint (0 when edges are disjoint)."""
+    the weight of the shared endpoint (0 when edges are disjoint). It is a
+    sum over vertex stars: each vertex v adds w(v) to every entry (i, j)
+    where i and j are edges at v."""
     e = t.edge_count
     rows = [[0] * e for _ in range(e)]
-    for i, (u1, v1) in enumerate(t.edges):
-        rows[i][i] = t.weight(u1) + t.weight(v1)
-        for j in range(i + 1, e):
-            shared = set(t.edges[i]) & set(t.edges[j])
-            if shared:
-                w = t.weight(shared.pop())
-                rows[i][j] = w
-                rows[j][i] = w
+    for v in range(e + 1):
+        star = [i for i, edge in enumerate(t.edges) if v in edge]
+        for i in star:
+            for j in star:
+                rows[i][j] += t.weight(v)
     return IntMatrix.from_rows(rows)
 
 
@@ -144,31 +139,22 @@ def _marked_code(edges, marked: int) -> str:
 
 
 def _free_code(edges) -> str:
-    """Canonical code of the unmarked tree: root at the centroid, or at the
-    centroid edge when there are two."""
+    """Canonical code of the unmarked tree: root at the centre, or at the
+    central edge when there are two centres.
+
+    A vertex u farthest from any vertex ends a longest path, and a vertex w
+    farthest from u ends it at the other side; the centre is the middle one
+    or two vertices of that path."""
     adj = _adjacency(edges)
-    verts = set(adj)
-    n = len(verts)
-    # peel leaves to find the centroid(s)
-    deg = {v: len(adj[v]) for v in verts}
-    layer = [v for v in verts if deg[v] <= 1]
-    alive = dict.fromkeys(verts, True)
-    remaining = n
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            alive[v] = False
-            remaining -= 1
-            for w in adj[v]:
-                if alive[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = [v for v in verts if alive[v]]
-    if len(centers) == 1:
-        return _rooted_code(adj, centers[0], -1)
-    a, b = centers
+    u = next(reversed(_distances(adj, edges[0][0])))
+    from_u = _distances(adj, u)
+    w = next(reversed(from_u))
+    from_w = _distances(adj, w)
+    centres = [v for v in from_u if from_u[v] + from_w[v] == from_u[w]
+               and abs(from_u[v] - from_w[v]) <= 1]
+    if len(centres) == 1:
+        return _rooted_code(adj, centres[0], -1)
+    a, b = centres
     return "|".join(sorted([_rooted_code(adj, a, b), _rooted_code(adj, b, a)]))
 
 
@@ -243,8 +229,8 @@ def shape_name(t: BrauerTree) -> str:
         base = f"path{e}"
         if not marked:
             return base
-        ends = [v for v in range(e + 1) if t.degree(v) == 1]
-        dist = _distance(t, t.exceptional, ends)
+        reach = _distances(t.adjacency, t.exceptional)
+        dist = min(reach[v] for v in reach if t.degree(v) == 1)
         if e == 2:
             return base + ("_center" if dist == 1 else "_end")
         if e == 3:
@@ -259,21 +245,6 @@ def shape_name(t: BrauerTree) -> str:
     tag = _marked_code(t.edges, t.exceptional) if marked else _free_code(t.edges)
     digest = hashlib.sha256(tag.encode()).hexdigest()[:4]
     return f"tree_e{e}_{digest}"
-
-
-def _distance(t: BrauerTree, v: int, targets) -> int:
-    adj = t.adjacency
-    frontier = [(v, 0)]
-    seen = {v}
-    while frontier:
-        u, d = frontier.pop(0)
-        if u in targets:
-            return d
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
-    raise BrauerTreeError("disconnected tree")
 
 
 @dataclass(frozen=True)
@@ -308,8 +279,6 @@ def classify_defect1(dim: int) -> list[DefectOneMatch]:
     """
     if dim < 1:
         raise BrauerTreeError("dimension must be positive")
-    if dim > PARAMETER_BOUND:
-        raise BrauerTreeError(f"dimension {dim} exceeds bound {PARAMETER_BOUND}")
     out = []
     seen = set()
     # a tree with e edges has dimension at least 4e - 2 (the path, m = 1)

@@ -283,8 +283,40 @@ def prime_power_base(n: int) -> int | None:
     return p if m == 1 else None
 
 
+# a strong-probable-prime test to the first 13 prime bases decides
+# primality exactly below PRIME_BOUND, the least number that passes all of
+# them without being prime (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return prime_power_base(n) == n
+    """Exact primality of n below PRIME_BOUND; larger n are refused."""
+    if n >= PRIME_BOUND:
+        raise CartanEnumError(f"primality is only decided below {PRIME_BOUND}")
+    if n < 2:
+        return False
+    for b in PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    # n has no prime factor below 43
+    if n < 43 * 43:
+        return True
+    # n - 1 = d * 2^s with d odd
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def filter_block_feasible(c: CartanCandidate) -> FeasibilityVerdict:

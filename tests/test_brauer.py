@@ -7,6 +7,7 @@ the canonical-code machinery would show up as a count or set mismatch.
 
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -125,6 +126,9 @@ def test_tree_validation():
         BrauerTree(edges=((0, 1), (0, 1)), exceptional=0, multiplicity=1)
     with pytest.raises(BrauerTreeError):
         BrauerTree(edges=((0, 1), (2, 3)), exceptional=0, multiplicity=1)
+    # the right vertex set and edge count, but a triangle and a separate edge
+    with pytest.raises(BrauerTreeError, match="edge set is not connected"):
+        BrauerTree(edges=((0, 1), (1, 2), (0, 2), (3, 4)), exceptional=0, multiplicity=1)
     with pytest.raises(BrauerTreeError):
         BrauerTree(edges=((0, 1),), exceptional=5, multiplicity=1)
     with pytest.raises(BrauerTreeError):
@@ -134,7 +138,7 @@ def test_tree_validation():
 
 
 def test_cartan_of_tree_matches_definition():
-    for e in (1, 2, 3, 4):
+    for e in range(1, 9):
         for m in (1, 2, 5):
             for t in enumerate_trees(e, multiplicity=m):
                 assert (
@@ -172,6 +176,57 @@ def test_invariants():
     assert (inv.l, inv.k, inv.p) == (3, 7, 13)
     no_prime = invariants_of_tree(enumerate_trees(3, multiplicity=3)[0])
     assert no_prime.p is None  # 3*3 + 1 = 10
+
+
+def random_tree(rng, n_vertices):
+    """Edges of a random labelled tree: each vertex joins an earlier one,
+    then the labels are permuted and the edges shuffled and turned."""
+    label = rng.sample(range(n_vertices), n_vertices)
+    edges = [(label[rng.randrange(v)], label[v]) for v in range(1, n_vertices)]
+    edges = [ed if rng.random() < 0.5 else ed[::-1] for ed in edges]
+    rng.shuffle(edges)
+    return tuple(edges)
+
+
+def oracle_centres(n_vertices, edges):
+    """The vertices of least eccentricity, from all-pairs distances."""
+    d = [[0 if i == j else n_vertices for j in range(n_vertices)]
+         for i in range(n_vertices)]
+    for u, v in edges:
+        d[u][v] = d[v][u] = 1
+    for k in range(n_vertices):
+        for i in range(n_vertices):
+            for j in range(n_vertices):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    ecc = [max(row) for row in d]
+    return [v for v in range(n_vertices) if ecc[v] == min(ecc)], max(ecc)
+
+
+def test_free_code_roots_at_the_centre():
+    """On random trees of up to 16 vertices, the free code is the rooted
+    code at the least-eccentricity vertex, or the pair of codes across the
+    two such vertices, and it does not change under relabelling."""
+    rng = random.Random(22)
+    parities = set()
+    for _ in range(400):
+        n_vertices = rng.randint(2, 16)
+        edges = random_tree(rng, n_vertices)
+        centres, diameter = oracle_centres(n_vertices, edges)
+        parities.add(diameter % 2)
+        adj = brauer._adjacency(edges)
+        if len(centres) == 1:
+            expected = brauer._rooted_code(adj, centres[0], -1)
+        else:
+            a, b = centres
+            codes = sorted([brauer._rooted_code(adj, a, b), brauer._rooted_code(adj, b, a)])
+            expected = "|".join(codes)
+        code = brauer._free_code(edges)
+        assert code == expected, edges
+        label = rng.sample(range(n_vertices), n_vertices)
+        relabelled = [(label[u], label[v]) for u, v in edges]
+        rng.shuffle(relabelled)
+        assert brauer._free_code(tuple(relabelled)) == code, edges
+    assert parities == {0, 1}
 
 
 @functools.lru_cache(maxsize=None)

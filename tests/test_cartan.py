@@ -245,6 +245,29 @@ def test_primality_helpers():
         assert prime_power_base(n) == (p if m == 1 else None)
 
 
+def test_is_prime_is_exact_on_strong_pseudoprimes():
+    """Composites that fool weaker tests, each with a stated factor, are
+    refused; large primes are accepted; the bound of the 13 bases, itself a
+    strong pseudoprime to all of them, is refused."""
+    carmichael = {561: 3, 1105: 5, 1729: 7, 2465: 5, 2821: 7, 6601: 7, 8911: 7}
+    for n, f in carmichael.items():
+        assert n % f == 0 and not is_prime(n)
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert 151 * 751 * 28351 == 3215031751 and not is_prime(3215031751)
+    # psi_12 passes the bases 2..37, so only the base 41 catches it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441 and not is_prime(psi12)
+    assert is_prime(2**61 - 1)
+    # trial division agrees past the early return for n < 43^2
+    for n in range(10**8, 10**8 + 2000):
+        assert is_prime(n) == (prime_power_base(n) == n)
+    bound = cartan.PRIME_BOUND
+    assert bound == 3317044064679887385961981 and bound % 1287836182261 == 0
+    for n in (bound, bound + 1, 2**89 - 1):  # 2^89 - 1 is prime but past the bound
+        with pytest.raises(CartanEnumError, match="only decided below"):
+            is_prime(n)
+
+
 def candidate_for(rows):
     matches = [
         c

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -477,25 +478,51 @@ def test_brauer_trees_cli(capsys):
 
 
 def test_brauer_trees_parameter_bound(capsys):
-    """Dimension and multiplicity up to the bound are answered; above it,
-    including primes near 2^61 that trial division would take minutes or
-    more on, the input is refused at once."""
-    from blocksmith.brauer import PARAMETER_BOUND as bound
+    """Dimensions and multiplicities are bounded only by exact primality:
+    primes near 2^61 are answered within a second, and a p = e * m + 1 at
+    the bound of the primality test is refused."""
+    from blocksmith.cartan import PRIME_BOUND as bound
 
-    code, env = run_json(capsys, "brauer-trees", "--edges", "1",
-                         "--multiplicity", str(bound))
-    assert code == EXIT_OK and env["payload"]["trees"][0]["m"] == bound
-    code, env = run_json(capsys, "brauer-trees", "--dim", str(bound))
-    assert code == EXIT_OK
+    trees = {}
     for args in (
-        ("--edges", "1", "--multiplicity", str(bound + 1)),
-        ("--dim", str(bound + 1)),
-        ("--edges", "1", "--multiplicity", "2305843009213693950"),  # p = 2^61 - 1
+        ("--edges", "1", "--multiplicity", "1000001"),
+        ("--dim", "1000001"),
+        ("--edges", "1", "--multiplicity", "2305843009213693950"),
         ("--dim", "2305843009213693953"),
     ):
+        start = time.perf_counter()
         code, env = run_json(capsys, "brauer-trees", *args)
-        assert code == EXIT_INVALID and env["status"] == "invalid_input", args
-        assert "exceeds bound" in env["payload"]["error"], args
+        assert time.perf_counter() - start < 1.0, args
+        assert code == EXIT_OK and env["status"] == "ok", args
+        trees[args] = env["payload"]["trees"]
+        assert trees[args], args
+    p61 = trees["--edges", "1", "--multiplicity", "2305843009213693950"]
+    assert p61[0]["p"] == 2**61 - 1
+    for m in (bound - 1, bound):
+        code, env = run_json(capsys, "brauer-trees", "--edges", "1",
+                             "--multiplicity", str(m))
+        assert code == EXIT_INVALID and env["status"] == "invalid_input", m
+        assert f"only decided below {bound}" in env["payload"]["error"], m
+
+
+def test_heights_of_a_large_prime(capsys):
+    """A p near 2^61 is tested for primality at once, in ``heights`` and in
+    ``contribution --heights``; a p at the bound of the test is refused."""
+    from blocksmith.cartan import PRIME_BOUND as bound
+
+    p = str(2**61 - 1)
+    contribution = ["contribution", "--q", "[[2,1],[0,1],[0,1],[0,1],[1,0]]",
+                    "--c", "[[5,2],[2,4]]", "--defect-order", "16", "--heights"]
+    for argv in (["heights", "--diag", "16,4", "--p", p], [*contribution, "--p", p]):
+        start = time.perf_counter()
+        code, env = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == EXIT_OK and env["status"] == "ok", argv
+        assert set(env["payload"]["heights"]) == {0}, argv
+    for argv in (["heights", "--diag", "16,4", "--p", str(bound)],
+                 [*contribution, "--p", str(bound)]):
+        code, env = run_json(capsys, *argv)
+        assert code == EXIT_INVALID and env["status"] == "invalid_input", argv
 
 
 def test_casebook_cli(tmp_path, capsys):

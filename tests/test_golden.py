@@ -2,9 +2,11 @@
 contribution outputs.
 
 The casebook and tree digests were recorded from the code before the kernel
-took each run's fixed row, and the Gram and contribution digests from the
-code before adj(C), det C and the row forms of a target moved into one
-cache, so a refactor that is meant to keep the output byte-identical shows
+took each run's fixed row, the Gram and contribution digests from the code
+before adj(C), det C and the row forms of a target moved into one cache, and
+the digests of the trees by edge count from the code before the tree layer
+took one breadth-first walk for its tree check, path positions and tree
+centres, so a refactor that is meant to keep the output byte-identical shows
 here when it does not. A change that alters an output on purpose records
 the new digest and says why.
 """
@@ -54,6 +56,58 @@ TREES = {
     40: "ef8a0866e51749d1b02e96ccddc66fea824bb99b63accbca7e6671d86af3bd2f",
 }
 
+# (e, m): digests of the JSON and the table output
+EDGES = {
+    (1, 1): ("f0cc42ec1e7dcdd838fcfebbcc47fd853f7a275153499ea0e20cb826dfdb4e32",
+             "db2d2ce038d1c7f374239f38e693d3f4b217a0e89b931ef544ed46040aaf80f2"),
+    (1, 2): ("f1fbb5994ba06234dc6988a48eeca775ed50826477c1b71ddfc6f85b3b6aac11",
+             "5ab142955114a88d131aa7a154faa9503bb931adbda666a6465afda925c51bc4"),
+    (1, 5): ("9e3bb230aaccc6b1f8a8558f7971898a1721fcc48aeb0a27b084598f672a942c",
+             "f06e61f86e2f9f663e8ee98740f3ed5dd9865ae94da9e20e6ad452707a032f57"),
+    (2, 1): ("5529590134a9892ff621bd0515379d0253e31a94445792979989031b4cd4bc39",
+             "4bd8284ab41775b6629907b070009ba0a81f7da917dc0504beb734c07e94a9d8"),
+    (2, 2): ("2b0c94ad8d1630750f006d82d05a852d59e2e05bb6eaeafe7dde38a379d2d3c1",
+             "a366b242d728fb1eac8b9043749cb77a0685991e33014537f22da811336949c5"),
+    (2, 5): ("c4f0065b0faa8276472076f19e88f0699b6e9dd0ecf851a393ec71f199a24f9a",
+             "487f02a12a31cf055a53eeda9a007dda2e90c07cc2db299bd5ad7606b2999981"),
+    (3, 1): ("e3549c1204af7223763fb39648ea5c6a55b8fa3a6e306f81bff03dd7170584b5",
+             "3eabe5b8ce69b14d5013ffa1a73dabc0485483f17beee8a739068d6870bda484"),
+    (3, 2): ("41a102f5698880f23177b5c32d3a93e4c97a657fe65d651f6ce1ea34a0d5157a",
+             "d5e72d163791c8ed13897a870765be15e15f048bf865b1a7e3787a3d9fa7c192"),
+    (3, 5): ("ca24fda25888ef8326a04ed64ad6be5cf076e6c33cbd54b1ba855f29e69d3fd1",
+             "9279882a91a9e2df719e6abf2c1bff7c8c8b9882c76389fd3da58d2a7729b6d3"),
+    (4, 1): ("fb0855ab0e150fa4caf08080f3cce57f86dc8326de0f048d10787b4d3443c085",
+             "a5c4226c749105c12a0434ddd6fcd6b3e17ef18ae2202149106dee896e2e1b82"),
+    (4, 2): ("9de98785f91bc3242c4024fa01d33d7c20831b8ab8671d888fa1c3cfeec5c9ac",
+             "aa56e74687644ca6fa18fc28e99fb4f7fa974c20513875625f257e8c126aa4c2"),
+    (4, 5): ("127d3336752d7ca184b7f7dc2f1099539233bb0eaa71dd626be580d400f22586",
+             "1e7518025ad9e0acc9a342b58162a0c8c73988f576621651e242c704eed69329"),
+    (5, 1): ("e2fe51631f08d05596ec8d69562947f575752a330ea87a10e02016a98d2f4c04",
+             "7f8cff2ee631bc6c44640dba71e301e6b1c52f5ec3580d35f4e0c98bd967d2c3"),
+    (5, 2): ("5c8445b2776d28ba234eebb5f06e3a9afac6e8771a731f895a92b2ea54c979e7",
+             "51d3dcdb37ae928f76b73c609fcfed15e9834af8d84a16f1ae9b4b584476e6e4"),
+    (5, 5): ("cbd3b0f5db75a37c6a882f35a1505ad5faaeb24e5ff9cf8b77b5f71f1ab2bfaa",
+             "86c79b5fc00be5c34defa70e74b970095693f61c3243f652a3347656f9e47109"),
+    (6, 1): ("ff9601209ec4a187da1cf6a781483c1b8373025cac60dbfe8bb6f5f616980c7e",
+             "ea86ac1158a550a16d8ecaa7b087f9f878a6d117e127ceca4914abc0ca9b1437"),
+    (6, 2): ("6890edf33ed11ad76dfcb0204082a8c268c12ce34f2d0aa5ae058d82ea46edce",
+             "8d2dbbc2231a6e4fc30f1989746735ea8afd9c2bb60b23a456db17defd141e49"),
+    (6, 5): ("0efc6da702b1f5fe20dba50bcff2bb9cf61e23982012b20ce292b3959966924e",
+             "7f2654d0bc173984589e818459bc59025c75c4b741c79141489e162f70e18502"),
+    (7, 1): ("b36ab0f7782eb1b37f8b5158d864d1a96c503afae6d4426d490ee183529bbd2d",
+             "e0a59ce514982e540e760a9e602f9b86f84e0bde46031e21e6630d28221ed30b"),
+    (7, 2): ("6efd5ee9e18675a933ab29f639c79482c8d4d803eb504548222fbc68c9c251d8",
+             "f4f554cbb2f583d2e56be803ace0b68f11204fc79eb45265b46a8cbc0499252a"),
+    (7, 5): ("bc39e2411474c545f866f87f08ac81bbf9f0f6caf573061ec0080f314a08b612",
+             "864bb246251ac258d01f02d9c06574d4f4760a9d0f4af3fe653fbe05580e2bca"),
+    (8, 1): ("e7d1035f9f38272e1ecc29bdfdaf49bd17f368312b6d301fe2134d01348745f0",
+             "737afd86c558e2eb364552f266f723d5b8b680bd9464c264286a054e2808e1e3"),
+    (8, 2): ("b7b3731ef4a0f45dbb5e3e20ac1e8abfe03489ca08d7b3518b9c4e83f0a9ab68",
+             "6d60aef5f2aa574ebb68b8cc2dc163c0beb5e557af03570a2cad91dbb366f56a"),
+    (8, 5): ("628090eb5fc9a1f43d21a9cddc37616874493ed142c091b70ca3faca696511fa",
+             "c83abe7732e70e5faaf0eeca81b3e18ee091580355e9600fb12b400701913b25"),
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -79,6 +133,18 @@ def test_brauer_tree_outputs_are_golden(capsys):
     """``brauer-trees --dim D`` for D = 20..40."""
     got = {dim: sha(stdout_of(capsys, "brauer-trees", "--dim", str(dim))) for dim in TREES}
     assert got == TREES
+
+
+def test_brauer_trees_by_edges_are_golden(capsys):
+    """``brauer-trees --edges e --multiplicity m`` for e = 1..8 and
+    m = 1, 2, 5, as JSON and as a table: every marked tree with its code,
+    shape name and Cartan matrix."""
+    got = {}
+    for e, m in EDGES:
+        run = ("brauer-trees", "--edges", str(e), "--multiplicity", str(m))
+        got[e, m] = (sha(stdout_of(capsys, *run)),
+                     sha(stdout_of(capsys, *run, "--format", "table")))
+    assert got == EDGES
 
 
 # the 10-row solution of rule d13-27-solve, the fixed block of d13-27-d8-fake
