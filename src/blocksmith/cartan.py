@@ -8,7 +8,8 @@ sum equals the dimension of the basic algebra. Candidates are reported in
 canonical permutation form, so each symmetry class appears once.
 
 The enumerator builds few labelled matrices that a screen would reject. It
-fixes a nonincreasing diagonal, then the off-diagonal row sums (each at
+fixes a nonincreasing diagonal that leaves room for a spanning tree of
+off-diagonal entries, then the off-diagonal row sums (each at
 least 1, nonincreasing within a block of equal diagonal entries), then fills
 the upper triangle row by row under the entry caps min(d_i, d_j) and
 a_ij^2 < d_i d_j, and drops a partial matrix as soon as a leading principal
@@ -29,6 +30,7 @@ from .intmat import (
     elementary_divisors,
     is_connected,
     psd_rank,
+    require_canonical_dim,
 )
 
 MAX_SUM_ENV = "BLOCKSMITH_MAX_SUM"
@@ -118,7 +120,10 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
     conditions only, so every class keeps a representative:
 
     - the diagonal is nonincreasing (``_diagonals``), since a permutation
-      can sort it;
+      can sort it, and its sum is at most n - 2(l - 1), since a connected
+      matrix has a spanning tree of l - 1 off-diagonal entries of at least
+      1, each counted twice in the entry sum (``min_sum_for_l(l) - 2l``
+      held back);
     - the off-diagonal row sums are at least 1, since a connected matrix
       has no isolated index, at most what the entry caps below allow in
       their row, and (diagonal, row sum) is lexicographically
@@ -133,7 +138,9 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
       (``_labelled_matrices``).
 
     Connectivity is tested on each generated matrix, and the canonical form
-    removes the duplicates that remain within each class.
+    removes the duplicates that remain within each class. A size l above
+    ``CANONICAL_DIM_BOUND`` with n >= ``min_sum_for_l(l)`` is refused before
+    any matrix is built, with the canonical form's own ``MatrixError``.
     """
     if n < 1:
         raise CartanEnumError("entry sum must be positive")
@@ -148,10 +155,13 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
         return [_candidate(IntMatrix.from_rows([[n]]), n)]
     if n < min_sum_for_l(l):
         return []
+    # the path with one diagonal entry raised is a candidate at every such n,
+    # so a size past the canonical form's bound could only fail at its first leaf
+    require_canonical_dim(l)
 
     seen: set[IntMatrix] = set()
     out: list[CartanCandidate] = []
-    for diag in _diagonals(l, n):
+    for diag in _diagonals(l, n - 2 * (l - 1)):
         margin = n - sum(diag)
         if margin % 2:
             continue
@@ -161,7 +171,7 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
                 # screened as plain lists; only a survivor becomes an IntMatrix
                 if not is_connected(rows):
                     continue
-                canon = canonical_perm_form(IntMatrix.from_rows(rows))
+                canon = canonical_perm_form(IntMatrix._unchecked(tuple(map(tuple, rows))))
                 if canon in seen:
                     continue
                 seen.add(canon)
@@ -171,7 +181,7 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
 
 
 def _diagonals(l: int, n: int):
-    """Non-increasing diagonals (d_1 >= ... >= d_l >= 2) with room left over."""
+    """Non-increasing diagonals (d_1 >= ... >= d_l >= 2) with sum at most n."""
 
     def rec(prefix: list[int], remaining: int, cap: int):
         slots = l - len(prefix)
@@ -265,22 +275,34 @@ def _labelled_matrices(diag, caps, sums):
 
 
 def prime_power_base(n: int) -> int | None:
-    """p when n = p^a with a >= 1, else None."""
+    """p when n = p^a with a >= 1, else None; n at or above PRIME_BOUND is
+    refused, as by ``is_prime``.
+
+    Each a <= log2 n is tried by an exact integer a-th root and ``is_prime``
+    on the root, so the cost is polynomial in the bit length of n.
+    """
     if n < 2:
         return None
-    p = None
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            p = f
-            while m % f == 0:
-                m //= f
-            break
-        f += 1 if f == 2 else 2
-    if p is None:
-        return n  # n itself is prime
-    return p if m == 1 else None
+    if is_prime(n):
+        return n
+    for a in range(2, n.bit_length()):
+        r = _integer_root(n, a)
+        if r**a == n and is_prime(r):
+            return r
+    return None
+
+
+def _integer_root(n: int, a: int) -> int:
+    """floor(n^(1/a)) for n >= 1 and a >= 2, in integers only."""
+    if a == 2:
+        return isqrt(n)
+    # Newton's step from above: it decreases strictly until it reaches the root
+    x = 1 << -(-n.bit_length() // a)
+    while True:
+        y = ((a - 1) * x + n // x ** (a - 1)) // a
+        if y >= x:
+            return x
+        x = y
 
 
 # a strong-probable-prime test to the first 13 prime bases decides

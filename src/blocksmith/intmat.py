@@ -8,7 +8,9 @@ divisions and no pivoting. Definiteness is read off the one fraction-free
 (Bareiss) elimination, ``psd_rank``. The Smith normal form comes from one
 elimination, ``_smith``: ``elementary_divisors`` runs it on a bare copy of
 the rows, and ``smith_normal_form`` on the block array [[m, I], [I, 0]],
-whose identity blocks collect the left and right transforms.
+whose identity blocks collect the left and right transforms. Its pivot
+scan stops at the first unit, and a unit pivot skips the divisibility
+check, which it cannot fail.
 
 The canonical form is the row-major lexicographically largest conjugate
 among the permutations that keep the diagonal nonincreasing. It is built
@@ -204,20 +206,31 @@ def _smith(a: list[list[int]], n: int, k: int) -> tuple[int, ...]:
     return its diagonal: nonnegative, each entry dividing the next.
 
     Step t swaps the nonzero entry of least (|a_ij|, i, j) in the block from
-    (t, t) on to (t, t) and clears row t and column t by floor division.
-    If a remainder is left, or some later row has an entry the pivot does
-    not divide (the first such row is then added to row t), the step starts
-    again with a smaller pivot; otherwise a negative pivot row is negated.
-    Row operations act on whole rows below n and column operations on whole
-    columns below k, so what ``a`` holds right of and below the block
-    records them.
+    (t, t) on to (t, t) and clears row t and column t by floor division. The
+    scan for it stops at the first entry of absolute value 1 in row-major
+    order, which is that least entry. A unit pivot divides everything, so
+    its step ends there. Otherwise, if a remainder is left, or some later
+    row has an entry the pivot does not divide (the first such row is then
+    added to row t), the step starts again with a smaller pivot. A step
+    that ends negates a negative pivot row. Row operations act on whole
+    rows below n and column operations on whole columns below k, so what
+    ``a`` holds right of and below the block records them.
     """
     t = 0
     while t < min(n, k):
-        nonzero = [(abs(x), i, j) for i in range(t, n) for j, x in enumerate(a[i][t:k], t) if x]
-        if not nonzero:
+        least = 0
+        for i in range(t, n):
+            row = a[i]
+            for j in range(t, k):
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    least, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if least == 1:
+                break
+        if not least:
             break
-        _, pi, pj = min(nonzero)
         a[t], a[pi] = a[pi], a[t]
         if pj != t:
             for row in a:
@@ -233,16 +246,18 @@ def _smith(a: list[list[int]], n: int, k: int) -> tuple[int, ...]:
             if q:
                 for row in a:
                     row[j] -= q * row[t]
-        if any(top[t + 1 : k]) or any(a[i][t] for i in range(t + 1, n)):
-            continue
-        for i in range(t + 1, n):
-            if any(x % p for x in a[i][t + 1 : k]):
-                a[t] = [x + y for x, y in zip(top, a[i])]
-                break
-        else:
-            if p < 0:
-                a[t] = [-x for x in top]
-            t += 1
+        if least != 1:
+            if any(top[t + 1 : k]) or any(a[i][t] for i in range(t + 1, n)):
+                continue
+            bad = next(
+                (i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1 : k])), None
+            )
+            if bad is not None:
+                a[t] = [x + y for x, y in zip(top, a[bad])]
+                continue
+        if p < 0:
+            a[t] = [-x for x in top]
+        t += 1
     return tuple(a[i][i] for i in range(min(n, k)))
 
 
@@ -404,6 +419,12 @@ def scaled_inverse(m: IntMatrix, s: int) -> ScaledInverse:
 CANONICAL_DIM_BOUND = 8
 
 
+def require_canonical_dim(n: int) -> None:
+    """Refuse a size that ``canonical_perm_form`` does not take."""
+    if n > CANONICAL_DIM_BOUND:
+        raise MatrixError(f"canonical form limited to dimension {CANONICAL_DIM_BOUND}")
+
+
 def canonical_perm_form(m: IntMatrix) -> IntMatrix:
     """Canonical labeling under simultaneous row/column permutation.
 
@@ -435,8 +456,7 @@ def canonical_perm_form(m: IntMatrix) -> IntMatrix:
     """
     _require_symmetric(m)
     n = m.row_count
-    if n > CANONICAL_DIM_BOUND:
-        raise MatrixError(f"canonical form limited to dimension {CANONICAL_DIM_BOUND}")
+    require_canonical_dim(n)
     rows = m.rows
     order = sorted(range(n), key=lambda i: -rows[i][i])
     blocks = [tuple(g) for _, g in itertools.groupby(order, key=lambda i: rows[i][i])]

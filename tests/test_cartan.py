@@ -2,7 +2,9 @@
 arithmetic feasibility screens."""
 
 import itertools
+import time
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -171,6 +173,28 @@ def simply_laced_dynkin(l):
     return diagrams
 
 
+def test_visited_diagonals_leave_room_for_a_spanning_tree(monkeypatch):
+    """Every diagonal the enumerator visits leaves at least 2(l - 1) of the
+    entry sum off the diagonal, the least a connected matrix needs, and
+    dimensions 13-15 visit 112 diagonals (all 298 that fit the sum would
+    leave 186 with too little room)."""
+    visits = []
+    diagonals = cartan._diagonals
+
+    def counted(l, bound):
+        for diag in diagonals(l, bound):
+            visits.append((n, l, diag))
+            yield diag
+
+    monkeypatch.setattr(cartan, "_diagonals", counted)
+    for n in range(13, 16):
+        for l in range(1, 5):  # from l = 5 on, the smallest entry sum 4l - 2 exceeds 15
+            enumerate_cartan(n, l)
+    assert len(visits) == 112
+    for n, l, diag in visits:
+        assert n - sum(diag) >= 2 * (l - 1), (n, diag)
+
+
 def test_minimal_sum_candidates_are_simply_laced_dynkin(monkeypatch):
     """At the smallest entry sum 4l - 2 a candidate is 2I plus the adjacency
     matrix of a tree, and positive definiteness leaves exactly the
@@ -260,12 +284,34 @@ def test_is_prime_is_exact_on_strong_pseudoprimes():
     assert is_prime(2**61 - 1)
     # trial division agrees past the early return for n < 43^2
     for n in range(10**8, 10**8 + 2000):
-        assert is_prime(n) == (prime_power_base(n) == n)
+        assert is_prime(n) == all(n % f for f in range(2, isqrt(n) + 1))
     bound = cartan.PRIME_BOUND
     assert bound == 3317044064679887385961981 and bound % 1287836182261 == 0
     for n in (bound, bound + 1, 2**89 - 1):  # 2^89 - 1 is prime but past the bound
         with pytest.raises(CartanEnumError, match="only decided below"):
             is_prime(n)
+
+
+def test_prime_power_base_takes_exact_roots():
+    """Prime powers far past the reach of trial division are resolved by
+    exact integer roots; perfect powers of composites, strong pseudoprimes
+    and Carmichael numbers are not prime powers; the bound of ``is_prime``
+    is refused."""
+    assert prime_power_base(3**50) == 3
+    assert prime_power_base(2**81) == 2
+    p40 = 2**40 - 87
+    assert p40.bit_length() == 40 and is_prime(p40)
+    start = time.perf_counter()
+    assert prime_power_base(p40**2) == p40
+    assert time.perf_counter() - start < 1.0
+    assert (p40 - 1) % 2 == 0 and prime_power_base((p40 - 1) ** 2) is None
+    assert prime_power_base(6**30) is None
+    assert 151 * 751 * 28351 == 3215031751 and prime_power_base(3215031751) is None
+    for n, f in {561: 3, 1105: 5, 1729: 7, 2465: 5, 2821: 7, 6601: 7, 8911: 7}.items():
+        assert n % f == 0 and prime_power_base(n) is None
+    for n in (cartan.PRIME_BOUND, p40**3):
+        with pytest.raises(CartanEnumError, match="only decided below"):
+            prime_power_base(n)
 
 
 def candidate_for(rows):

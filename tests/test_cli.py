@@ -505,6 +505,21 @@ def test_brauer_trees_parameter_bound(capsys):
         assert f"only decided below {bound}" in env["payload"]["error"], m
 
 
+def test_enumerate_cartan_refuses_an_uncanonicalisable_size(capsys, monkeypatch):
+    """A size past the canonical form's bound is refused before any matrix
+    is built, once the sum admits a candidate; below that sum the answer
+    is the empty list."""
+    monkeypatch.setenv("BLOCKSMITH_MAX_SUM", "40")
+    start = time.perf_counter()
+    code, env = run_json(capsys, "enumerate-cartan", "--sum", "34", "--l", "9")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert env["payload"]["error"] == "canonical form limited to dimension 8"
+    code, env = run_json(capsys, "enumerate-cartan", "--sum", "20", "--l", "9")
+    assert code == EXIT_OK and env["status"] == "ok"
+    assert env["payload"]["candidates"] == []
+
+
 def test_heights_of_a_large_prime(capsys):
     """A p near 2^61 is tested for primality at once, in ``heights`` and in
     ``contribution --heights``; a p at the bound of the test is refused."""
