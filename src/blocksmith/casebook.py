@@ -23,6 +23,7 @@ from .cartan import (
     CartanCandidate,
     enumerate_cartan,
     filter_block_feasible,
+    is_prime,
     min_sum_for_l,
 )
 from .contrib import contribution_matrix, heights_from_contribution
@@ -246,11 +247,16 @@ def _check_params(kind: str, params: dict, where: str) -> None:
     if "gram" in params and "gram_from_data" in params:
         raise CasebookError(f"{where} gives both gram and gram_from_data")
     if "valuation_filter" in params:
+        filt = params["valuation_filter"]
         k = params.get("row_count", params.get("fixed_from", {}).get("row_count"))
         if type(k) is not int:
             raise CasebookError(f"{where}.valuation_filter needs a fixed row count")
-        if not all(0 <= i < k for i in params["valuation_filter"]["row_indices"]):
+        if not all(0 <= i < k for i in filt["row_indices"]):
             raise CasebookError(f"{where}.valuation_filter.row_indices out of range")
+        if not is_prime(filt["p"]):
+            raise CasebookError(f"{where}.valuation_filter.p is not a prime: {filt['p']}")
+        if filt["required_valuation"] < 0:
+            raise CasebookError(f"{where}.valuation_filter.required_valuation is negative")
 
 
 def _rule_from_obj(obj: Any) -> CaseRule:

@@ -85,25 +85,34 @@ def _invalid_input(command: str, inputs: Any, error: Exception) -> dict:
     return _envelope(command, inputs, "invalid_input", {"error": str(error)})
 
 
+def _read_json_file(path: str, missing: str) -> Any:
+    """The JSON value in the file at ``path``. A missing file raises the
+    CliError ``missing``; another read error or malformed JSON names the
+    path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise CliError(missing)
+    except OSError as e:
+        raise CliError(f"{path}: cannot read file: {e.strerror}")
+    except json.JSONDecodeError as e:
+        raise CliError(
+            f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
+        )
+
+
 def _parse_matrix(text: str) -> IntMatrix:
     """Inline JSON, or a path to a JSON file."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as inline_err:
-        path = Path(text)
-        if not path.exists():
-            raise CliError(
-                f"matrix argument is neither valid JSON (error at position "
-                f"{inline_err.pos}: {inline_err.msg}) nor an existing file: {text!r}"
-            )
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as e:
-            raise CliError(f"{text}: cannot read file: {e.strerror}")
-        except json.JSONDecodeError as e:
-            raise CliError(
-                f"{text}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-            )
+    except json.JSONDecodeError as e:
+        missing = (
+            f"matrix argument is neither valid JSON (error at position "
+            f"{e.pos}: {e.msg}) nor an existing file: {text!r}"
+        )
+        if not Path(text).exists():
+            raise CliError(missing)
+        obj = _read_json_file(text, missing)
     try:
         return matrix_from_obj(obj)
     except MatrixError as e:
@@ -111,8 +120,10 @@ def _parse_matrix(text: str) -> IntMatrix:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty item, such as the one in ``1,``
+    or in the empty string, is refused."""
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise CliError(f"expected comma-separated integers, got {text!r}")
 
@@ -396,16 +407,7 @@ def _cmd_casebook(args) -> tuple[dict, int, str | None]:
 def _load_rules(path: str | None) -> list | None:
     if path is None:
         return None
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"rules file not found: {path}")
-    except OSError as e:
-        raise CliError(f"{path}: cannot read file: {e.strerror}")
-    except json.JSONDecodeError as e:
-        raise CliError(
-            f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
-        )
+    raw = _read_json_file(path, f"rules file not found: {path}")
     if not isinstance(raw, list):
         raise CliError(f"{path}: rules file must hold a JSON list of rules")
     return [cb._rule_from_obj(obj) for obj in raw]

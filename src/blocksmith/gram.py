@@ -120,6 +120,8 @@ class GramProblem:
                 raise GramInputError("bad row-count range")
         elif self.row_count is not None and self.row_count < 1:
             raise GramInputError("row count must be positive")
+        if self.diag_constraints is not None and not self.diag_constraints:
+            raise GramInputError("diag constraints must not be empty")
         if self.diag_constraints is not None and self.defect_order is None:
             raise GramInputError("diag constraints need a defect order")
         if self.defect_order is not None and self.defect_order <= 0:
@@ -153,8 +155,8 @@ class GramProblem:
         the upper triangle, which ``verify_solution`` checks first). A
         cached property is not a field, so equality and the hash stay those
         of the fields."""
-        c = self.target_gram.rows
-        upper = [x for i, row in enumerate(c) for x in row[i:]] if c == tuple(zip(*c)) else None
+        c = self.target_gram
+        upper = [x for i, row in enumerate(c.rows) for x in row[i:]] if c.is_symmetric else None
         k = self.pinned_row_count()
         window = self.row_window()
         if k is not None:
@@ -212,10 +214,6 @@ def _quad_limit(d: int) -> int:
     """The largest r . adj . r^t a valid row may have: below det C, or equal
     to it when det C = 1."""
     return d if d == 1 else d - 1
-
-
-def row_is_valid(r: Sequence[int], adj: IntMatrix, d: int) -> bool:
-    return row_quad(r, adj) <= _quad_limit(d)
 
 
 def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:

@@ -1,6 +1,6 @@
-"""Exact integer matrices: determinants, Smith normal form, definiteness,
-indecomposability, scaled inverses, and a canonical form under simultaneous
-row/column permutation.
+"""Exact integer matrices: the adjugate with the determinant, the Smith
+normal form, definiteness, connected components, and a canonical form under
+simultaneous row/column permutation.
 
 The determinant and the adjugate come together from one Faddeev-LeVerrier
 recurrence (``adjugate_and_det``): n integer matrix products, exact integer
@@ -24,7 +24,6 @@ Everything here is exact; no floating point is used anywhere in the package.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
@@ -98,11 +97,8 @@ class IntMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.row_count)
-            for j in range(i)
-        )
+        # False for a non-square matrix too: its transpose has another shape
+        return self.rows == tuple(zip(*self.rows))
 
     def entry_sum(self) -> int:
         return sum(sum(row) for row in self.rows)
@@ -140,13 +136,9 @@ class IntMatrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.rows) + "]"
 
 
-def matrix_to_obj(m: IntMatrix) -> dict:
-    """Exchange format used by the CLI: {"rows": [[int, ...], ...]}."""
-    return {"rows": m.to_lists()}
-
-
 def matrix_from_obj(obj: object) -> IntMatrix:
-    """Parse the exchange format; a bare list of lists is also accepted."""
+    """Parse the exchange format {"rows": [[int, ...], ...]}; a bare list of
+    lists is also accepted."""
     if isinstance(obj, dict):
         if "rows" not in obj:
             raise MatrixError('matrix object must have a "rows" key')
@@ -303,18 +295,6 @@ def is_positive_definite(m: IntMatrix) -> bool:
     return psd_rank(m.to_lists()) == m.row_count
 
 
-def is_positive_semidefinite(m: IntMatrix) -> bool:
-    """Exact PSD test, see ``psd_rank``."""
-    _require_symmetric(m)
-    return psd_rank(m.to_lists()) is not None
-
-
-def is_indecomposable(m: IntMatrix) -> bool:
-    """Connectivity of the graph with edges at nonzero off-diagonal entries."""
-    _require_symmetric(m)
-    return is_connected(m.rows)
-
-
 def components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """The connected components of the graph on the indices of the square
     symmetric ``rows`` with edges at nonzero off-diagonal entries, each in
@@ -371,49 +351,6 @@ def adjugate_and_det(m: IntMatrix) -> tuple[IntMatrix, int]:
     sign = (-1) ** (n - 1)
     adj = IntMatrix._unchecked(tuple(tuple(sign * x for x in row) for row in mk))
     return adj, -sign * c
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant, see ``adjugate_and_det``."""
-    return adjugate_and_det(m)[1]
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: adj(m) * m = det(m) * I, see ``adjugate_and_det``."""
-    return adjugate_and_det(m)[0]
-
-
-@dataclass(frozen=True)
-class ScaledInverse:
-    """s * m^{-1} represented exactly as numerator / denominator."""
-
-    numerator: IntMatrix
-    denominator: int
-
-    def as_exact(self) -> IntMatrix:
-        """Strict variant: assert the scaled inverse is integral."""
-        if self.denominator != 1:
-            raise MatrixError(
-                f"scaled inverse is not integral (denominator {self.denominator})"
-            )
-        return self.numerator
-
-
-def scaled_inverse(m: IntMatrix, s: int) -> ScaledInverse:
-    """Exact s * m^{-1} via the adjugate, with the common denominator reduced."""
-    adj, d = adjugate_and_det(m)
-    if d == 0:
-        raise MatrixError("singular matrix has no inverse")
-    if s <= 0:
-        raise MatrixError("scale must be positive")
-    num = adj.scale(s)
-    g = math.gcd(d, *(x for row in num.rows for x in row))
-    num = IntMatrix(tuple(tuple(x // g for x in row) for row in num.rows))
-    denom = d // g
-    if denom < 0:
-        num = num.scale(-1)
-        denom = -denom
-    return ScaledInverse(numerator=num, denominator=denom)
 
 
 CANONICAL_DIM_BOUND = 8

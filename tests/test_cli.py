@@ -170,6 +170,14 @@ def test_malformed_gram_problem_is_invalid_input(capsys, argv, message):
         (["solve-gram", "--gram", "[[2]]", "--rows", "x"], "bad row count 'x'"),
         (["contribution", "--q", "[[1],[1]]", "--c", "[[2]]", "--defect-order", "2",
           "--heights"], "--heights needs --p"),
+        # an empty item is refused, not dropped
+        *(
+            (["solve-gram", "--gram", "[[2]]", "--diag", diag, "--defect-order", "2"],
+             f"expected comma-separated integers, got {diag!r}")
+            for diag in ("", ",", "1,", "1,1,")
+        ),
+        (["heights", "--diag", "4,,4", "--p", "2"],
+         "expected comma-separated integers, got '4,,4'"),
     ],
 )
 def test_malformed_argument_is_invalid_input(capsys, argv, message):
@@ -388,6 +396,11 @@ def test_valid_probe_rule_runs(tmp_path, capsys):
          "unknown inertial quotient 'C99'"),
         (probe_rule(kind="congruence", params={"p": 2, "quotients": ["C2", "C99"]}),
          "unknown inertial quotient 'C99'"),
+        (probe_rule(params={"fixed_from": REF, "valuation_filter": dict(VALUATION, p=4)}),
+         "valuation_filter.p is not a prime: 4"),
+        (probe_rule(params={"fixed_from": REF, "valuation_filter": dict(
+            VALUATION, required_valuation=-1)}),
+         "valuation_filter.required_valuation is negative"),
     ],
 )
 def test_malformed_rule_is_invalid_input(tmp_path, capsys, rule, message):

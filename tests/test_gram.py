@@ -31,8 +31,8 @@ from blocksmith import (
     solve_orthogonal_column,
     verify_solution,
 )
-from blocksmith.gram import row_is_valid, row_quad
-from blocksmith.intmat import adjugate, det
+from blocksmith.gram import _quad_limit, row_quad
+from blocksmith.intmat import adjugate_and_det
 
 from conftest import (
     adj_det,
@@ -117,15 +117,16 @@ def test_row_validity_bound_is_strict():
     # (1, 2) decomposes [[5,2],[2,4]] together with (2, 0) but its scaled
     # contribution equals the determinant, which the model excludes
     c = M([[5, 2], [2, 4]])
-    adj, d = adjugate(c), det(c)
+    adj, d = adjugate_and_det(c)
     q = IntMatrix.from_rows([[1, 2], [2, 0]])
     assert q.transpose().matmul(q) == c
     assert row_quad((1, 2), adj) == d
-    assert not row_is_valid((1, 2), adj, d)
-    assert row_is_valid((2, 1), adj, d)
+    assert not row_quad((1, 2), adj) <= _quad_limit(d)
+    assert row_quad((2, 1), adj) <= _quad_limit(d)
     # determinant 1 allows saturation, otherwise nothing decomposes [[1]]
     one = M([[1]])
-    assert row_is_valid((1,), adjugate(one), det(one))
+    adj, d = adjugate_and_det(one)
+    assert row_quad((1,), adj) <= _quad_limit(d)
     assert multisets(solve(GramProblem(target_gram=one))) == {((1,),)}
 
 
@@ -493,6 +494,9 @@ def test_input_validation():
         solve(GramProblem(target_gram=M([[2, 1], [1, 2]]), sign_mode="odd"))
     with pytest.raises(GramInputError):
         solve(GramProblem(target_gram=M([[2, 1], [1, 2]]), row_count=0))
+    # an empty diagonal pins 0 rows: refused like row_count=0, not proved empty
+    with pytest.raises(GramInputError, match="diag constraints must not be empty"):
+        solve(GramProblem(target_gram=M([[2]]), diag_constraints=(), defect_order=2))
 
 
 def test_solver_matches_brute_force_spot_checks():
