@@ -15,7 +15,11 @@ import hashlib
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .intmat import CANONICAL_DIM_BOUND, IntMatrix, canonical_perm_form
+from .intmat import CANONICAL_DIM_BOUND, IntMatrix, canonical_perm
+# bound here for the callers that put a tree Cartan matrix in canonical form
+# one match at a time: the defect-one oracle in tests/conftest.py and the
+# tracer of perfbench
+from .intmat import canonical_perm_form  # noqa: F401
 from .cartan import is_prime
 
 # the tree step puts e x e Cartan matrices in canonical form, so the edge
@@ -99,13 +103,26 @@ def cartan_of_tree(t: BrauerTree) -> IntMatrix:
     sum over vertex stars: each vertex v adds w(v) to every entry (i, j)
     where i and j are edges at v."""
     e = t.edge_count
+    stars: list[list[int]] = [[] for _ in range(e + 1)]
+    for i, (u, v) in enumerate(t.edges):
+        stars[u].append(i)
+        stars[v].append(i)
     rows = [[0] * e for _ in range(e)]
-    for v in range(e + 1):
-        star = [i for i, edge in enumerate(t.edges) if v in edge]
+    for v, star in enumerate(stars):
+        w = t.weight(v)
         for i in star:
             for j in star:
-                rows[i][j] += t.weight(v)
-    return IntMatrix.from_rows(rows)
+                rows[i][j] += w
+    return IntMatrix._unchecked(tuple(map(tuple, rows)))
+
+
+@cache
+def _canonical_order(edges, exceptional: int, marked: bool) -> tuple[int, ...]:
+    """``canonical_perm`` of the Cartan matrix of the marked tree with any
+    multiplicity m >= 2 (marked) or m = 1, where the marking does not change
+    the matrix. Memoized: at most two entries per ``_marked_trees`` row."""
+    tree = BrauerTree(edges, exceptional, 2 if marked else 1)
+    return canonical_perm(cartan_of_tree(tree))
 
 
 def dim_of_tree(t: BrauerTree) -> int:
@@ -276,6 +293,14 @@ def classify_defect1(dim: int) -> list[DefectOneMatch]:
     in canonical permutation form. Duplicate parameter sets arising from
     collapsed markings are removed, keeping the first tree in
     ``enumerate_trees`` order.
+
+    The canonical labelling of a marked tree's Cartan matrix is the same for
+    every m >= 2: the entries are 0, 1 and m off the diagonal and 2 and
+    m + 1 on it, in the same order and with the same equalities for every
+    such m, and the refinement in ``canonical_perm`` only compares entries.
+    So each marked tree is labelled once for m >= 2 and once for m = 1, and
+    the labellings are kept per process (``_canonical_order``); that memo
+    holds tuples only and is bounded by the ``_marked_trees`` table.
     """
     if dim < 1:
         raise BrauerTreeError("dimension must be positive")
@@ -289,7 +314,8 @@ def classify_defect1(dim: int) -> list[DefectOneMatch]:
             if r or m < 1 or not is_prime(p):
                 continue
             tree = BrauerTree(edges, exceptional, m)
-            cartan = canonical_perm_form(cartan_of_tree(tree))
+            order = _canonical_order(edges, exceptional, m > 1)
+            cartan = cartan_of_tree(tree).conjugate(order)
             key = (cartan, m, p)
             if key in seen:
                 continue

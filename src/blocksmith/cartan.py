@@ -354,9 +354,12 @@ def filter_block_feasible(c: CartanCandidate) -> FeasibilityVerdict:
     p = prime_power_base(d)
     if p is None:
         return FeasibilityVerdict(False, reason="not_prime_power")
-    # the divisor check below is implied by det = p^a; kept as a guard
+    # the divisor check below is implied by det = p^a; kept as a guard:
+    # a divisor is a power of p when dividing p out of it leaves 1
     for e in c.divisors:
-        if e > 1 and prime_power_base(e) != p:
+        while e > 1 and e % p == 0:
+            e //= p
+        if e > 1:
             return FeasibilityVerdict(False, reason="mixed_prime_divisors")
     top = c.divisors[-1]
     if c.l >= 2 and c.divisors[-2] == top:

@@ -110,7 +110,12 @@ def _parse_matrix(text: str) -> IntMatrix:
             f"matrix argument is neither valid JSON (error at position "
             f"{e.pos}: {e.msg}) nor an existing file: {text!r}"
         )
-        if not Path(text).exists():
+        try:
+            exists = Path(text).exists()
+        except OSError:
+            # a name the system cannot look up, e.g. one past its length limit
+            exists = False
+        if not exists:
             raise CliError(missing)
         obj = _read_json_file(text, missing)
     try:

@@ -129,6 +129,12 @@ class IntMatrix:
             raise MatrixError(f"non-integer scale {s!r}")
         return IntMatrix._unchecked(tuple(tuple(s * x for x in row) for row in self.rows))
 
+    def conjugate(self, perm: Sequence[int]) -> "IntMatrix":
+        """The matrix with entry ``rows[perm[i]][perm[j]]`` at (i, j): rows
+        and columns permuted together; ``perm`` must index a square matrix."""
+        rows = self.rows
+        return IntMatrix._unchecked(tuple(tuple(rows[i][j] for j in perm) for i in perm))
+
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
@@ -363,11 +369,19 @@ def require_canonical_dim(n: int) -> None:
 
 
 def canonical_perm_form(m: IntMatrix) -> IntMatrix:
-    """Canonical labeling under simultaneous row/column permutation.
+    """Canonical labeling under simultaneous row/column permutation: the
+    conjugate of m by ``canonical_perm(m)``.
 
     Among the permutations that leave the diagonal nonincreasing, the
     row-major lexicographically largest conjugate is returned, so e.g.
     [[2,1],[1,9]] maps to [[9,1],[1,2]]. Idempotent.
+    """
+    return m.conjugate(canonical_perm(m))
+
+
+def canonical_perm(m: IntMatrix) -> tuple[int, ...]:
+    """The permutation whose conjugate is ``canonical_perm_form(m)``: index
+    ``perm[i]`` of m goes to position i.
 
     The conjugate is built one row at a time (individualization and
     refinement in the sense of McKay, "Practical graph isomorphism", 1981,
@@ -390,6 +404,11 @@ def canonical_perm_form(m: IntMatrix) -> IntMatrix:
     level k hold every permutation whose first k rows are the largest
     possible, and the last level holds the maximum. The states never
     outnumber the permutations of the blocks.
+
+    The refinement only sorts and compares entries, diagonal entries with
+    diagonal ones and off-diagonal with off-diagonal. So two matrices whose
+    entries correspond under a map that is strictly increasing on the
+    diagonal values and on the off-diagonal values get the same permutation.
     """
     _require_symmetric(m)
     n = m.row_count
@@ -410,8 +429,7 @@ def canonical_perm_form(m: IntMatrix) -> IntMatrix:
                 if tail == best:
                     survivors.append((prefix + (x,), cells))
         states = survivors
-    perm = states[0][0]
-    return IntMatrix._unchecked(tuple(tuple(rows[i][j] for j in perm) for i in perm))
+    return states[0][0]
 
 
 def _split_cells(

@@ -23,6 +23,7 @@ from blocksmith.brauer import (
     shape_name,
 )
 from blocksmith.cartan import is_prime
+from blocksmith.intmat import canonical_perm, canonical_perm_form
 
 from conftest import (
     canonical_marked_tree,
@@ -279,6 +280,50 @@ def test_classify_equals_multiplicity_search(monkeypatch):
     for n in range(1, 41):
         got = [r.to_obj() for r in classify_defect1(n)]
         assert got == multiplicity_search_classify(n), n
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_cached_order_gives_the_canonical_form_for_every_multiplicity(e):
+    """The labelling kept per marked tree for m >= 2 (and per tree for
+    m = 1) conjugates the tree's Cartan matrix to the canonical form that
+    canonical_perm_form computes for that multiplicity directly."""
+    for edges, exceptional, _, _ in brauer._marked_trees(e):
+        for m in (1, 2, 3, 5, 12):
+            cartan = cartan_of_tree(BrauerTree(edges, exceptional, m))
+            order = brauer._canonical_order(edges, exceptional, m > 1)
+            assert cartan.conjugate(order) == canonical_perm_form(cartan), (edges, exceptional, m)
+
+
+def test_one_labelling_per_marked_tree_and_marking(monkeypatch):
+    """A pass over dimensions 20..34 labels each (marked tree, m > 1) key
+    once: 154 labellings for the 326 trees that fit a dimension (289 matches
+    after dedupe); a second pass labels nothing."""
+    labelled = []
+
+    def counted(m):
+        labelled.append(m)
+        return canonical_perm(m)
+
+    monkeypatch.setattr(brauer, "canonical_perm", counted)
+    brauer._canonical_order.cache_clear()
+    first = [[r.to_obj() for r in classify_defect1(n)] for n in range(20, 35)]
+    assert sum(map(len, first)) == 289
+    assert len(labelled) == 154
+    labelled.clear()
+    assert [[r.to_obj() for r in classify_defect1(n)] for n in range(20, 35)] == first
+    assert labelled == []
+
+
+def test_memoized_labellings_share_no_state():
+    """Forcing new values into a returned match's tree and Cartan matrix
+    leaves the memoized labellings, and so later calls, as they were."""
+    before = [r.to_obj() for r in classify_defect1(30)]
+    for r in classify_defect1(30):
+        r.tree.adjacency.clear()
+        object.__setattr__(r.tree, "edges", ((0, 1),))
+        object.__setattr__(r.tree, "exceptional", 1)
+        object.__setattr__(r.cartan, "rows", ((1,),))
+    assert [r.to_obj() for r in classify_defect1(30)] == before
 
 
 def test_classify_large_dimension():

@@ -368,3 +368,46 @@ def test_feasibility_edge_cases():
         divisors=(2, 6),
     )
     assert filter_block_feasible(bogus).reason == "mixed_prime_divisors"
+    # a divisor prime to p, one with a second prime beside p, and one that is
+    # a higher power of p than det itself holds: only the last passes the guard
+    for divisors, reason in (((3, 16), "mixed_prime_divisors"),
+                             ((4, 12), "mixed_prime_divisors"),
+                             ((2, 32), None)):
+        v = filter_block_feasible(CartanCandidate(
+            matrix=IntMatrix.from_rows([[4, 0], [0, 4]]),
+            entry_sum=8, l=2, det=16, divisors=divisors,
+        ))
+        assert v.reason == reason, divisors
+
+
+def factor_primes(n):
+    """The set of primes dividing n > 0, by trial division."""
+    return {q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, isqrt(q) + 1))}
+
+
+def test_feasibility_equals_factorization_oracle(monkeypatch):
+    """Every candidate of entry sums 13..22 gets the verdict that the prime
+    factors of its determinant and divisors give."""
+    monkeypatch.setenv("BLOCKSMITH_MAX_SUM", "22")
+    count = 0
+    for n in range(13, 23):
+        for l in range(1, 7):
+            for c in enumerate_cartan(n, l):
+                count += 1
+                v = filter_block_feasible(c)
+                primes = factor_primes(c.det)
+                top = c.divisors[-1]
+                if c.det == 1:
+                    expected = "det_one_with_l_ge_2" if l >= 2 else None
+                elif len(primes) != 1:
+                    expected = "not_prime_power"
+                elif any(factor_primes(e) - primes for e in c.divisors):
+                    expected = "mixed_prime_divisors"
+                elif l >= 2 and c.divisors[-2] == top:
+                    expected = "repeated_top_divisor"
+                else:
+                    expected = None
+                    assert v.p == min(primes) and v.defect_order == top
+                    assert v.annotations == (("prime_det_defect_one",) if top == v.p else ())
+                assert v.reason == expected and v.feasible == (expected is None), c.to_obj()
+    assert count == 2569

@@ -299,6 +299,18 @@ def test_invalid_inputs(tmp_path, capsys):
     assert code == EXIT_INVALID and "non-integer entry" in env["payload"]["error"]
 
 
+@pytest.mark.parametrize("argv", [["snf", "--matrix"], ["solve-gram", "--gram"]])
+def test_overlong_matrix_argument_is_invalid_input(capsys, argv):
+    """Not JSON and too long to be a file name: the lookup of the name fails
+    with an OSError, which must still give the envelope, not a traceback."""
+    text = "x" * 5000
+    code, env = run_json(capsys, *argv, text)
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert env["command"] == argv[0]
+    assert env["payload"]["error"].startswith("matrix argument is neither valid JSON")
+    assert env["payload"]["error"].endswith(f"nor an existing file: {text!r}")
+
+
 def test_directory_as_matrix_is_invalid_input(tmp_path, capsys):
     code, env = run_json(capsys, "solve-gram", "--gram", str(tmp_path))
     assert code == EXIT_INVALID and env["status"] == "invalid_input"

@@ -12,6 +12,7 @@ from blocksmith.intmat import (
     IntMatrix,
     MatrixError,
     adjugate_and_det,
+    canonical_perm,
     canonical_perm_form,
     elementary_divisors,
     is_connected,
@@ -311,7 +312,9 @@ def test_indecomposable():
     )
 
 
-def test_canonical_perm_form_is_permutation_invariant(rng):
+def shuffled_symmetric_matrices(rng):
+    """200 random symmetric matrices up to 5 x 5 with entries 0..4, each
+    with a random permutation of its indices."""
     for _ in range(200):
         n = rng.randint(1, 5)
         base = random_matrix(rng, n, n, 0, 4)
@@ -321,9 +324,15 @@ def test_canonical_perm_form_is_permutation_invariant(rng):
                 for i in range(n)
             ]
         )
-        canon = canonical_perm_form(sym)
         perm = list(range(n))
         rng.shuffle(perm)
+        yield sym, perm
+
+
+def test_canonical_perm_form_is_permutation_invariant(rng):
+    for sym, perm in shuffled_symmetric_matrices(rng):
+        n = sym.row_count
+        canon = canonical_perm_form(sym)
         shuffled = IntMatrix.from_rows(
             [[sym.rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         )
@@ -336,6 +345,23 @@ def test_canonical_perm_form_is_permutation_invariant(rng):
             for p in itertools.permutations(range(n))
         }
         assert canon.rows in orbit
+
+
+def test_canonical_perm_conjugates_to_the_canonical_form(rng):
+    """canonical_perm is a permutation of the indices, and conjugating by
+    it gives the canonical form, which the all-permutations oracle agrees
+    with; conjugate puts entry (perm[i], perm[j]) at (i, j)."""
+    for sym, perm in shuffled_symmetric_matrices(rng):
+        n = sym.row_count
+        shuffled = sym.conjugate(perm)
+        assert shuffled.rows == tuple(
+            tuple(sym.rows[perm[i]][perm[j]] for j in range(n)) for i in range(n)
+        )
+        for m in (sym, shuffled):
+            order = canonical_perm(m)
+            assert isinstance(order, tuple) and sorted(order) == list(range(n))
+            assert m.conjugate(order) == canonical_perm_form(m)
+            assert m.conjugate(order).rows == all_permutations_canonical_form(m.rows)
 
 
 def tied_symmetric(n, integer):
