@@ -21,8 +21,12 @@ cross sums. The rows emitted are the caller's own, without u_t.
 Since r^t r = (-r)^t (-r), a signed search need not walk both signs of a
 row whose run has a zero fixed row: ``gram._canonical_forms`` passes only
 the sign representatives of such a run (rows r >= 0) and builds the sign
-classes of each emitted sequence itself. The kernel does not depend on
-that; it searches whatever lists it is given.
+classes of each emitted sequence itself. A row of a run with a nonzero
+fixed row cannot change sign alone, but -I still pairs the finds: when
+every such run's list is closed under r -> -r, negating the rows of every
+closed run maps a find X to a find X', and the kernel returns one of each
+pair {X, X'} (``search_rows``). It reads this from the lists it is given;
+a search with no nonzero fixed row walks them as they are.
 
 The walk keeps an explicit stack, one generator of children per node on
 the current path, so the number of rows it can place is bounded by memory,
@@ -82,6 +86,19 @@ def search_rows(
     diag(C, sum_t n_t u_t^t u_t), so a row that is zero on C's coordinates
     but not on u_t is not the zero row, and each emitted sequence holds the
     caller's rows r, from ``candidates``.
+
+    Sign symmetry: when some fixed row is nonzero, the list of every run
+    with a nonzero fixed row is closed under r -> -r (it is then its own
+    negation, reversed) and every sequence has all k rows (``min_rows`` >=
+    k), negating the rows of every run with a closed list keeps the
+    rank-one sums and the cross sums, so X' is a find exactly when X is.
+    Of each pair {X, X'} only one is emitted: at the first negated run
+    where the blocks of X and X' differ, X's block is the larger. A run
+    whose block equals its own negation leaves the choice to the next
+    negated run, and a find with X = X' is emitted once. While walking the
+    run that decides, its first row r_1 must be >= -r_1 and every later
+    row >= -r_1 (else the negated block starts higher), and each complete
+    block is compared with its negation before its PSD test.
     """
     # the rows every test reads: the candidates, with u_t appended if fixed
     searched = [cands for cands, _ in runs]
@@ -93,9 +110,18 @@ def search_rows(
             for a in range(m)
         ]
         searched = [[(*r, *u) for r in cands] for cands, u in zip(searched, fixed)]
-    runs = [(cands, n, padded) for (cands, n), padded in zip(runs, searched) if n > 0]
+    k = sum(n for _, n in runs)
+    # whether -I, negating every run whose list is closed, pairs the finds
+    flip = min_rows >= k and any(map(any, fixed)) and all(
+        _closed(cands) for (cands, _), u in zip(runs, fixed) if any(u)
+    )
+    # each run: its list, count, searched rows and whether -I negates it
+    runs = [
+        (cands, n, padded, flip and _closed(cands))
+        for (cands, n), padded in zip(runs, searched)
+        if n > 0
+    ]
     l = len(c)
-    k = sum(n for _, n, _ in runs)
     pairs = [(i, j) for i in range(l) for j in range(i, l)]
     diagonal = [pairs.index((i, i)) for i in range(l)]
     root = [c[i][j] for i, j in pairs]
@@ -110,7 +136,7 @@ def search_rows(
     # two bits per pair (the low one for a positive product, the high one a
     # negative); after[t]: union of the full lists of runs t and on;
     # nonzero[t]: no list of runs t and on holds the zero row
-    products = [[[r[i] * r[j] for i, j in pairs] for r in padded] for _, _, padded in runs]
+    products = [[[r[i] * r[j] for i, j in pairs] for r in padded] for _, _, padded, _ in runs]
     suffix: list[list[int]] = []
     for prods in products:
         masks = [0] * (len(prods) + 1)
@@ -133,18 +159,37 @@ def search_rows(
     found: list[tuple[Row, ...]] = []
     chosen: list[Row] = []
 
-    def children(res: list[int], depth: int, t: int, left: int, start: int):
+    def children(
+        res: list[int], depth: int, t: int, left: int, start: int,
+        tie: tuple[int, ...] | None,
+    ):
         """Walks the children of the node at ``depth`` whose rows are
         ``chosen`` and whose next row is one of the ``left`` rows still open
         in run t, from index ``start`` on (with none left, run t + 1's): it
-        emits each finished child and yields the walk of each other one."""
+        emits each finished child and yields the walk of each other one.
+        ``tie`` is None once a negated run has told X from X' (or when -I
+        is not used), and otherwise the indices of run t's rows so far."""
         if not left:
             t, left, start = t + 1, runs[t + 1][1], 0
+            tie = None if tie is None else ()
         cands, prods, rest = runs[t][0], products[t], after[t + 1]
         own = suffix[t] if left > 1 else None
         depth += 1  # of each child
         need = min_rows - depth if nonzero[t] else 0
-        for idx in range(start, len(cands)):
+        # in the run that decides, -r of the row at index i is at last - i,
+        # and every row is >= -r_1
+        last = len(cands) - 1
+        decide = tie is not None and runs[t][3]
+        stop = (last - tie[0] if tie else last // 2) if decide else last
+        for idx in range(start, stop + 1):
+            next_tie = (*tie, idx) if decide else tie
+            if decide and left == 1:
+                # a complete block is not below its negation
+                negated = tuple(last - i for i in reversed(next_tie))
+                if negated < next_tie:
+                    continue
+                if negated != next_tie:
+                    next_tie = None
             reach = rest | own[idx] if own else rest
             if reach not in bounds:
                 bounds[reach] = (
@@ -163,7 +208,7 @@ def search_rows(
                 found.append((*chosen, cands[idx]))
             elif depth < k:
                 chosen.append(cands[idx])
-                yield children(new_res, depth, t, left - 1, idx)
+                yield children(new_res, depth, t, left - 1, idx, next_tie)
                 chosen.pop()
 
     if min_rows <= 0 and not any(root):
@@ -172,7 +217,7 @@ def search_rows(
         return []
     # the walks of the nodes on the current path, the deepest last; each
     # step pushes the next child walk of the deepest, or drops it when done
-    stack = [children(root, 0, -1, 0, 0)]
+    stack = [children(root, 0, -1, 0, 0, () if flip else None)]
     while stack:
         for child in stack[-1]:
             stack.append(child)
@@ -180,3 +225,9 @@ def search_rows(
         else:
             stack.pop()
     return found
+
+
+def _closed(cands: Sequence[Row]) -> bool:
+    """Whether the decreasing list ``cands`` is closed under r -> -r, that
+    is, its own negation reversed."""
+    return all(r == tuple(-x for x in s) for r, s in zip(cands, reversed(cands)))

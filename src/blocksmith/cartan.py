@@ -3,9 +3,13 @@ and arithmetic feasibility screening of the candidates.
 
 A candidate of size l is symmetric, positive definite, and indecomposable,
 with nonnegative entries, diagonal at least 2 when l >= 2, and every
-off-diagonal entry bounded by both diagonal entries meeting it. The entry
-sum equals the dimension of the basic algebra. Candidates are reported in
-canonical permutation form, so each symmetry class appears once.
+off-diagonal entry bounded by both diagonal entries meeting it. That entry
+cap, a_ij <= min(d_i, d_j), is an assumption of the model: no result in
+this package implies it, and it removes classes that meet every other
+condition (at entry sums 13..17, [[5,3],[3,2]] through [[9,3],[3,2]] and
+[[6,4],[4,3]]). The entry sum equals the dimension of the basic algebra.
+Candidates are reported in canonical permutation form, so each symmetry
+class appears once.
 
 The enumerator builds few labelled matrices that a screen would reject. It
 fixes a nonincreasing diagonal that leaves room for a spanning tree of
@@ -129,9 +133,15 @@ def enumerate_cartan(n: int, l: int) -> list[CartanCandidate]:
       their row, and (diagonal, row sum) is lexicographically
       nonincreasing, since a permutation within a block of equal diagonal
       entries can sort the row sums (``_row_sums``);
-    - each off-diagonal entry a_ij is at most min(d_i, d_j), by the model,
-      and satisfies a_ij^2 < d_i d_j, because the 2x2 principal minor of a
-      positive definite matrix is positive (``_entry_cap``);
+    - each off-diagonal entry a_ij is at most min(d_i, d_j), and satisfies
+      a_ij^2 < d_i d_j, because the 2x2 principal minor of a positive
+      definite matrix is positive (``_entry_cap``). The first cap is not a
+      necessary condition but an assumption of the model, which defines
+      the candidates: of the classes it removes at entry sums 13..17,
+      listed by ``tests/test_cartan.py``, the one of sum 13 has det 1 and
+      fails the screen, and those of sums 14 and 15 have |D| = p and no
+      Brauer tree, so the casebooks of dimensions 13..15 are the same
+      without it;
     - every leading principal block is positive definite, since the
       leading blocks of a positive definite matrix are; the last block is
       the matrix itself, so this is also the full definiteness test

@@ -502,7 +502,9 @@ def run_dimension(
     With rules=None the packaged rule set for n is loaded (empty for
     dimensions without one). A rule naming a candidate that enumeration
     does not produce is an error: it signals drift between the rule file
-    and the enumeration.
+    and the enumeration. The tree step's ``excluded`` is final: a rule
+    whose verdict differs is reported as a regression with both verdicts,
+    and so is a ``realized`` verdict with no realization row.
     """
     if n < 1:
         raise CasebookError("dimension must be positive")
@@ -586,6 +588,9 @@ def run_dimension(
                 verdict = "excluded"
             elif cand.matrix in realization_index:
                 verdict = "realized"
+        # the tree step's exclusion, which no rule may overturn
+        computed = verdict if verdict == "excluded" else None
+        verdict_rule = None
 
         if verdict != "infeasible":
             for rule in rules_by_candidate.get(cand.matrix, []):
@@ -615,12 +620,32 @@ def run_dimension(
                             "actual": outcome,
                         }
                     )
-                if rule.verdict is not None:
-                    verdict = rule.verdict
+                if rule.verdict is None or rule.verdict == computed:
+                    continue
+                if computed is not None:
+                    regressions.append(
+                        {
+                            "rule": rule.rule_id,
+                            "candidate": cand.matrix.to_lists(),
+                            "computed_verdict": computed,
+                            "rule_verdict": rule.verdict,
+                        }
+                    )
+                else:
+                    verdict, verdict_rule = rule.verdict, rule.rule_id
 
         if verdict is None:
             verdict = "unresolved"
         if verdict == "realized":
+            if cand.matrix not in realization_index:
+                regressions.append(
+                    {
+                        "rule": verdict_rule,
+                        "candidate": cand.matrix.to_lists(),
+                        "rule_verdict": verdict,
+                        "final_table_rows": 0,
+                    }
+                )
             for row in realization_index.get(cand.matrix, []):
                 final_rows.append(
                     {

@@ -324,8 +324,10 @@ def _sign_classes(
     patterns: Sequence[tuple[int, ...]],
     groups: Sequence[Sequence[int]],
 ) -> Iterator[tuple[Row, ...]]:
-    """For each code of ``_class_codes``, the largest form of its sign
-    expansion of ``blocks`` under the column negations ``patterns``.
+    """For each code, the largest form of its sign expansion of ``blocks``
+    under the column negations ``patterns``: the codes of ``_class_codes``
+    when every group is sign-free, and every code otherwise (see
+    ``_canonical_forms``).
 
     ``blocks`` holds the rows of each group of ``groups`` in turn, each
     block nonincreasing. In the block of a group flagged ``sign_free`` the
@@ -369,7 +371,11 @@ def _sign_classes(
             where[i] = position
         place = itemgetter(*where)
     chain = itertools.chain.from_iterable
-    for code in _class_codes(flips):
+    if all(sign_free):
+        codes = _class_codes(flips)
+    else:
+        codes = itertools.product(*(range(m + 1) for m in flips))
+    for code in codes:
         # copies of run t kept (slot 2t) and negated (slot 2t + 1)
         counts = list(chain(zip(map(sub, mults, code), code)))
         forms = [
@@ -403,23 +409,24 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
     of the sign-free groups negated; together they are exactly the
     sequences a search over both signs finds. The solutions are the
     classes of expansions under the column-sign patterns S, each named by
-    its largest form, and ``_sign_classes`` builds them per code j of
-    ``_class_codes`` (j <= m - j), deduplicated with one dict. These rules
-    are exact:
+    its largest form, and ``_sign_classes`` builds them per code j,
+    deduplicated with one dict. These rules are exact:
 
     - One group, all sign-free, C connected (patterns +-I): -I keeps X and
       maps code j to m - j, so each code is one class of X, and the
       identity's form is the larger (at the first run where j and m - j
-      differ it keeps more positive copies); only the identity is used.
+      differ it keeps more positive copies); only the identity and the
+      codes j <= m - j of ``_class_codes`` are used.
     - More than two patterns, every group sign-free: S maps the expansions
       of X one to one onto those of rep(S X), the sign representatives of
       its rows sorted per group, so every class meets the expansions of
       each X of its orbit; only the largest X of each orbit is used, and
       -I, which keeps X, again makes the codes j <= m - j meet every class.
     - Some group not sign-free: -I maps the expansion of X with code j onto
-      that of X' with code m - j, where X' is the find with the rows of
-      those groups negated, so the codes j <= m - j of X and of X'
-      together meet every class; the dict drops the repeats.
+      that of X' with code m - j, where X' is X with the rows of those
+      groups negated. Their runs are the ones the kernel negates, and it
+      returns one of X and X', so each code j of X is used, and together
+      they meet every class; the dict drops the repeats.
 
     An unsigned single group has one pattern and nothing to negate, so its
     sequence is its own form. With zero rows allowed, a free row-count
@@ -529,10 +536,14 @@ def solve_orthogonal_column(
     each class of them is one kernel run, its entries are searched
     nonincreasingly, and every column found is expanded to all distinct
     arrangements of each class's entries over that class's indices. The
-    signed search admits both signs; of v and -v the expansion keeps the
-    one whose first nonzero entry is positive. An empty list means the
-    constraints are proved unsatisfiable. Every returned column is checked
-    again for each of these constraints; InvariantError is raised otherwise.
+    signed search admits both signs, and the kernel returns one of each
+    find and its negation (every class negated), whose arrangements are
+    the negated columns; so of v and -v each arrangement keeps the one
+    whose first nonzero entry is positive, and the set of them gives each
+    column once, also for a find equal to its own negation, which arranges
+    to both. An empty list means the constraints are proved unsatisfiable.
+    Every returned column is checked again for each of these constraints;
+    InvariantError is raised otherwise.
     """
     if gram_value <= 0:
         raise GramInputError("gram value must be positive")
@@ -552,7 +563,7 @@ def solve_orthogonal_column(
     runs = [(entries, len(members)) for members in classes.values()]
     found = _kernel.search_rows([[gram_value]], runs, len(order), list(classes))
     spans = list(itertools.accumulate(map(len, classes.values()), initial=0))
-    out: list[tuple[int, ...]] = []
+    columns: set[tuple[int, ...]] = set()
     for rows in found:
         rep = [r[0] for r in rows]
         for parts in itertools.product(
@@ -561,9 +572,9 @@ def solve_orthogonal_column(
             v = [0] * k
             for i, x in zip(order, itertools.chain.from_iterable(parts)):
                 v[i] = x
-            if not signed or next(x for x in v if x) > 0:
-                out.append(tuple(v))
-    out.sort(reverse=True)
+            # of v and -v, the one whose first nonzero entry is positive
+            columns.add(max(tuple(v), tuple(-x for x in v)))
+    out = sorted(columns, reverse=True)
     cols = list(zip(*q1.rows))
     for v in out:
         if (

@@ -15,7 +15,9 @@ tests, so none of them may call back into blocksmith. The four exceptions
 are ``labelled_enumeration``, ``multiplicity_search_classify``,
 ``unpruned_search_rows`` and ``expanding_solve``, reference copies of
 replaced algorithms that pin the output of their successors, not the
-primitives they share with them.
+primitives they share with them. ``one_of_each_negated_pair`` states the
+kernel's choice of one sequence of each -I pair on the output of
+``unpruned_search_rows``.
 """
 
 from __future__ import annotations
@@ -549,6 +551,46 @@ def unpruned_search_rows(c, slots, min_rows, cols=()) -> list:
 
     recurse([list(row) for row in c], [[0] * l for _ in cols], 0)
     return found
+
+
+def one_of_each_negated_pair(found, runs, fixed, min_rows) -> list:
+    """``found``, the sequences of a search over ``runs`` ((list, count)
+    pairs) with fixed rows ``fixed`` that walks both members of each -I
+    pair, less those the kernel leaves out, in order. -I applies when some
+    fixed row is nonzero, the list of each run with a nonzero fixed row is
+    closed under r -> -r and min_rows reaches the row count; then X' is X
+    with the block of every run whose list is closed and holds a nonzero
+    row negated and re-sorted, and X is left out when X' has the larger
+    block at the first such run where they differ. Asserts that each X
+    left out has its X' among the sequences."""
+    def neg(r):
+        return tuple(-x for x in r)
+
+    def closed(cands):
+        return set(map(neg, cands)) == set(cands)
+
+    live = [(cands, u) for (cands, n), u in zip(runs, fixed) if n]
+    if (
+        min_rows < sum(n for _, n in runs)
+        or not any(any(u) for _, u in live)
+        or not all(closed(cands) for cands, u in live if any(u))
+    ):
+        return list(found)
+    negated = [closed(cands) and any(map(any, cands)) for cands, _ in runs]
+    spans = list(itertools.accumulate((n for _, n in runs), initial=0))
+    everything = set(found)
+    kept = []
+    for rows in found:
+        blocks = [rows[a:b] for a, b in zip(spans, spans[1:])]
+        mirror = [
+            tuple(sorted(map(neg, block), reverse=True)) if flip else block
+            for block, flip in zip(blocks, negated)
+        ]
+        if blocks >= mirror:
+            kept.append(rows)
+        else:
+            assert tuple(itertools.chain.from_iterable(mirror)) in everything
+    return kept
 
 
 def expanding_solve(p) -> list:

@@ -25,9 +25,13 @@ from blocksmith.intmat import canonical_perm_form
 
 from conftest import (
     all_permutations_canonical_form,
+    determinantal_divisors,
     fraction_definiteness,
     graph_cartan,
     labelled_enumeration,
+    marked_tree_classes,
+    naive_det,
+    oracle_tree_cartan,
 )
 
 
@@ -124,6 +128,84 @@ def test_enumeration_equals_labelled_enumeration(monkeypatch):
         for l in range(1, 7):  # from l = 7 on, the smallest entry sum 4l - 2 exceeds 22
             got = [c.matrix.rows for c in enumerate_cartan(n, l)]
             assert got == labelled_enumeration(n, l), (n, l)
+
+
+def uncapped_classes(n, l):
+    """Every class of symmetric matrices of size l >= 2 with nonnegative
+    entries summing to n, diagonal >= 2, connected and positive definite,
+    with no entry cap: each labelled matrix is built, tested by Fraction
+    pivots and put in ``all_permutations_canonical_form``."""
+    pairs = list(itertools.combinations(range(l), 2))
+    classes = set()
+    for diag in itertools.product(range(2, n + 1), repeat=l):
+        budget, odd = divmod(n - sum(diag), 2)
+        if odd or budget < l - 1:  # a connected matrix has l - 1 edges
+            continue
+        # the off-diagonal entries: budget stars in len(pairs) parts
+        for bars in itertools.combinations(range(budget + len(pairs) - 1), len(pairs) - 1):
+            cuts = (-1, *bars, budget + len(pairs) - 1)
+            off = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
+            rows = [[diag[i] if i == j else 0 for j in range(l)] for i in range(l)]
+            for (i, j), v in zip(pairs, off):
+                rows[i][j] = rows[j][i] = v
+            reached, frontier = {0}, [0]
+            while frontier:
+                i = frontier.pop()
+                for j in range(l):
+                    if rows[i][j] and j not in reached:
+                        reached.add(j)
+                        frontier.append(j)
+            if len(reached) == l and fraction_definiteness(rows) == "pd":
+                classes.add(all_permutations_canonical_form(rows))
+    return classes
+
+
+# The classes the entry cap a_ij <= min(d_i, d_j) removes, by entry sum.
+CAPPED = {
+    13: [((5, 3), (3, 2))],
+    14: [((6, 3), (3, 2))],
+    15: [((7, 3), (3, 2))],
+    16: [((8, 3), (3, 2))],
+    17: [((6, 4), (4, 3)), ((9, 3), (3, 2))],
+}
+
+
+def test_entry_cap_removes_exactly_these_matrices():
+    """The cap is an assumption of the model, not implied by the other
+    conditions. Over l <= 4 and entry sums 13..17, the classes that break
+    it are exactly ``CAPPED``, and the others are the enumeration's. The
+    removed matrices at the paper's dimensions would be settled anyway:
+    sum 13's has det 1, which the screen rejects for l >= 2; those of sums
+    14 and 15 have elementary divisors (1, p), so they pass the screen
+    with |D| = p, and no Brauer tree with 2 edges and multiplicity
+    (p - 1) / 2 has their Cartan matrix, so the tree step excludes them."""
+    for n in range(13, 18):
+        removed = []
+        for l in range(2, 5):
+            kept = []
+            for rows in uncapped_classes(n, l):
+                capped = any(
+                    rows[i][j] > min(rows[i][i], rows[j][j])
+                    for i in range(l) for j in range(l) if i != j
+                )
+                (removed if capped else kept).append(rows)
+            assert sorted(kept) == [c.matrix.rows for c in enumerate_cartan(n, l)]
+        assert sorted(removed) == CAPPED[n], n
+    det_one = CAPPED[13][0]
+    assert naive_det(det_one) == 1
+    assert not filter_block_feasible(
+        CartanCandidate(IntMatrix.from_rows(det_one), 13, 2, 1, (1, 1))
+    ).feasible
+    for (rows,), p in ((CAPPED[14], 3), (CAPPED[15], 5)):
+        assert determinantal_divisors(rows) == (1, p)
+        cand = CartanCandidate(IntMatrix.from_rows(rows), sum(map(sum, rows)), 2, p, (1, p))
+        verdict = filter_block_feasible(cand)
+        assert verdict.feasible and verdict.defect_order == verdict.p == p
+        trees = {
+            all_permutations_canonical_form(oracle_tree_cartan(edges, mark, (p - 1) // 2))
+            for edges, mark in marked_tree_classes(2)
+        }
+        assert rows not in trees
 
 
 @lru_cache(maxsize=None)

@@ -606,6 +606,66 @@ def test_casebook_regression_exit_code(tmp_path, capsys):
     assert env["payload"]["regressions"][0]["rule"] == "probe"
 
 
+def test_casebook_rule_cannot_overturn_the_tree_step(tmp_path, capsys):
+    """At dimension 14 the tree step excludes [[7,2],[2,3]] (det 17, no
+    Brauer tree has that Cartan matrix). A rule that calls it realized is a
+    regression that lists both verdicts, and the candidate stays excluded.
+    The same run without the rule is clean."""
+    rules = [
+        {
+            "id": "overturn",
+            "candidate": [[7, 2], [2, 3]],
+            "kind": "external_citation",
+            "citation": "probe",
+            "verdict": "realized",
+        }
+    ]
+    f = tmp_path / "rules.json"
+    f.write_text(json.dumps(rules), encoding="utf-8")
+    code, env = run_json(capsys, "casebook", "run", "--dim", "14", "--rules", str(f))
+    assert code == EXIT_REGRESSION and env["status"] == "regression"
+    assert env["payload"]["regressions"] == [
+        {
+            "rule": "overturn",
+            "candidate": [[7, 2], [2, 3]],
+            "computed_verdict": "excluded",
+            "rule_verdict": "realized",
+        }
+    ]
+    counts = env["payload"]["verdict_counts"]
+    assert counts["realized"] == len(env["payload"]["final_table"]) == 4
+    f.write_text("[]", encoding="utf-8")
+    code, env = run_json(capsys, "casebook", "run", "--dim", "14", "--rules", str(f))
+    assert code == EXIT_OK and env["payload"]["verdict_counts"] == counts
+
+
+def test_casebook_realized_verdict_needs_a_final_table_row(tmp_path, capsys):
+    """[[5,1,1],[1,2,0],[1,0,2]] (det 16, so no tree step) has no row in the
+    dimension-13 realizations; a rule that calls it realized is a
+    regression, not a silent extra count."""
+    rules = [
+        {
+            "id": "unbacked",
+            "candidate": [[5, 1, 1], [1, 2, 0], [1, 0, 2]],
+            "kind": "external_citation",
+            "citation": "probe",
+            "verdict": "realized",
+        }
+    ]
+    f = tmp_path / "rules.json"
+    f.write_text(json.dumps(rules), encoding="utf-8")
+    code, env = run_json(capsys, "casebook", "run", "--dim", "13", "--rules", str(f))
+    assert code == EXIT_REGRESSION
+    assert env["payload"]["regressions"] == [
+        {
+            "rule": "unbacked",
+            "candidate": [[5, 1, 1], [1, 2, 0], [1, 0, 2]],
+            "rule_verdict": "realized",
+            "final_table_rows": 0,
+        }
+    ]
+
+
 @pytest.mark.parametrize(
     "failing",
     [

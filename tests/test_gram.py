@@ -36,6 +36,7 @@ from blocksmith.intmat import adjugate_and_det
 
 from conftest import (
     adj_det,
+    expanding_solve,
     gram2_decompositions,
     naive_adjugate,
     naive_det,
@@ -304,9 +305,8 @@ def test_orthogonal_column_input_validation():
 def test_orthogonal_column_rechecks_every_column():
     """A find of the kernel corrupted in one entry never comes back as a
     column. On the 7-row Q1 with g = 9 (6 columns), each change by +-1 of
-    each entry of each find either raises InvariantError or, when the sign
-    rule drops every arrangement of the corrupted find, leaves only true
-    columns."""
+    each entry of each find either raises InvariantError or leaves only
+    true columns."""
     q7 = M([[2, 0], [1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [1, 1]])
     search = gram._kernel.search_rows
     finds = []
@@ -571,6 +571,75 @@ def test_pinned_search_matches_brute_force(data):
         assert sum(q in orbit for orbit in orbits) == 1, q
     for orbit in orbits:
         assert orbit <= expected
+
+
+def test_signed_searches_with_fixed_rows_match_oracles(rng):
+    """Seeded draws of the searches where the kernel walks one find of each
+    -I pair. Signed pinned problems, C = Q0^t Q0 with l <= 2 and k <= 4
+    rows, one fixed block with a nonzero row (mostly orthogonal to Q0),
+    forced zero rows among Q0's zero rows and now and then Q0's own
+    contribution diagonal: the solutions are ``expanding_solve``'s, which
+    walks one slot per row and both members of each pair, in its order,
+    and each matrix ``pinned_gram_oracle`` lists lies in the orbit of
+    exactly one of them. Signed columns against a Q1 of k <= 5 nonzero
+    rows, g <= 9: the columns are ``orthogonal_column_oracle``'s. The
+    draws keep each brute force small: trace C <= 10."""
+    pinned = columns = 0
+    for _ in range(300):
+        l, k = rng.randint(1, 2), rng.randint(2, 4)
+        q0 = [tuple(rng.randint(-2, 2) for _ in range(l)) for _ in range(k)]
+        c = [[sum(r[i] * r[j] for r in q0) for j in range(l)] for i in range(l)]
+        adj, det_c = adj_det(c)
+        if det_c <= 0 or sum(c[j][j] for j in range(l)) > 10:
+            continue
+        vectors = [v for v in itertools.product((-1, 0, 1), repeat=k) if any(v)]
+        orthogonal = [
+            v for v in vectors
+            if all(sum(v[t] * q0[t][j] for t in range(k)) == 0 for j in range(l))
+        ]
+        cols = [
+            rng.choice(orthogonal if orthogonal and rng.random() < 0.8 else vectors)
+            for _ in range(rng.randint(1, 2))
+        ]
+        block = [[col[i] for col in cols] for i in range(k)]
+        zero_rows = {i for i in range(k) if not any(q0[i]) and rng.random() < 0.5}
+        require_nonzero_rows = all(map(any, q0)) and rng.random() < 0.5
+        diag = defect_order = None
+        if rng.random() < 0.3:
+            defect_order = det_c
+            diag = [quad(r, adj) for r in q0]
+        problem = GramProblem(
+            target_gram=M(c),
+            sign_mode="signed",
+            row_count=k,
+            require_nonzero_rows=require_nonzero_rows,
+            fixed_blocks=(M(block),),
+            diag_constraints=None if diag is None else tuple(diag),
+            defect_order=defect_order,
+            zero_rows=frozenset(zero_rows),
+        )
+        got = [s.q.rows for s in solve(problem)]
+        assert got == expanding_solve(problem)
+        expected = pinned_gram_oracle(
+            c, k, True, [block], diag, defect_order, zero_rows, require_nonzero_rows
+        )
+        orbits = [pinned_gram_orbit(q, c, True, [block], diag, zero_rows) for q in got]
+        for q in expected:
+            assert sum(q in orbit for orbit in orbits) == 1, q
+        for orbit in orbits:
+            assert orbit <= expected
+        pinned += bool(got)
+    for _ in range(200):
+        k, width = rng.randint(1, 5), rng.randint(1, 2)
+        q1 = [[rng.randint(-1, 1) for _ in range(width)] for _ in range(k)]
+        if not any(map(any, q1)):
+            continue
+        g = rng.randint(1, 9)
+        zero_rows = {i for i in range(k) if rng.random() < 0.2}
+        found = solve_orthogonal_column(M(q1), g, signed=True, zero_rows=zero_rows)
+        assert found == orthogonal_column_oracle(q1, g, True, zero_rows)
+        columns += bool(found)
+    assert pinned >= 10 and columns >= 10
 
 
 def test_every_solution_verifies(rng):

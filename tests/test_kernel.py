@@ -10,10 +10,17 @@ from hypothesis import assume, given, strategies as st
 from blocksmith import IntMatrix
 from blocksmith import _kernel, _kernel_py
 from blocksmith.cartan import enumerate_cartan, filter_block_feasible, min_sum_for_l
-from blocksmith.gram import GramProblem, _class_codes, _row_pool, row_quad, solve
+from blocksmith.gram import (
+    GramProblem,
+    _class_codes,
+    _row_pool,
+    row_quad,
+    solve,
+    solve_orthogonal_column,
+)
 from blocksmith.intmat import adjugate_and_det, is_positive_definite
 
-from conftest import expanding_solve, unpruned_search_rows
+from conftest import expanding_solve, one_of_each_negated_pair, unpruned_search_rows
 
 TARGETS = [
     [[5, 2], [2, 4]],
@@ -153,16 +160,28 @@ def test_reach_prune_matches_unpruned_free_search(data):
     )
 
 
-def search_with_columns(c, runs, min_rows, cols):
-    """The kernel's sequences for the runs of C with fixed columns ``cols``
-    (each with one entry per row, equal along each run): each run's fixed
-    row holds the columns' entries at its rows."""
+def fixed_rows(runs, cols):
+    """The fixed rows of the runs for fixed columns ``cols`` (each with one
+    entry per row, equal along each run): each run's fixed row holds the
+    columns' entries at its rows."""
     fixed = []
     start = 0
     for _, n in runs:
         fixed.append(tuple(col[start] for col in cols))
         start += n
-    return _kernel.search_rows(c, runs, min_rows, fixed)
+    return fixed
+
+
+def search_with_columns(c, runs, min_rows, cols):
+    """The kernel's sequences for the runs of C with fixed columns ``cols``."""
+    return _kernel.search_rows(c, runs, min_rows, fixed_rows(runs, cols))
+
+
+def unpruned_with_columns(c, runs, min_rows, cols):
+    """The sequences of the cross-sum search over one slot per row, less
+    those the kernel leaves out under -I."""
+    found = unpruned_search_rows(c, slots_of(runs), min_rows, cols)
+    return one_of_each_negated_pair(found, runs, fixed_rows(runs, cols), min_rows)
 
 
 @given(st.data())
@@ -174,7 +193,9 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
     along each run, so its rows stay interchangeable; the kernel gets them
     as coordinates appended to each run's rows, against the target
     diag(C, U^t U), and its sequences cut back to l entries are those of the
-    cross-sum search over one slot per row."""
+    cross-sum search over one slot per row, one of each -I pair when a
+    column is nonzero and the lists it is nonzero on are closed under
+    r -> -r."""
     draw = data.draw
     l = draw(st.integers(1, 2))
     k = draw(st.integers(1, 4))
@@ -213,8 +234,8 @@ def test_reach_prune_matches_unpruned_pinned_search(data):
         draw(st.sampled_from(orthogonal if draw(st.booleans()) else vectors))
         for _ in range(draw(st.integers(0, 2)))
     ]
-    assert search_with_columns(c, runs, k, cols) == unpruned_search_rows(
-        c, slots, k, cols
+    assert search_with_columns(c, runs, k, cols) == unpruned_with_columns(
+        c, runs, k, cols
     )
 
 
@@ -257,16 +278,29 @@ def test_fixed_coordinates_past_two_to_the_53_match_unpruned_search():
     10-row Q1 scaled by 3**40: the fixed coordinates, the U^t U block of the
     target and the residual entries all pass 2**53, where a float would
     round. Orthogonality to Q1 does not depend on the scale, so the
-    sequences are those of the unscaled search and of the cross-sum one."""
+    sequences are those of the unscaled search and of the cross-sum one,
+    one of each -I pair."""
     c = [[5, 1], [1, 2]]
     q1 = [(1, 1)] + [(1, 0)] * 6 + [(0, 1)] * 3
     runs = [(box(c, True), 1), (box(c, True), 6), (box(c, True), 3)]
     k = len(q1)
-    expected = unpruned_search_rows(c, slots_of(runs), k, list(zip(*q1)))
-    assert expected
+    expected = unpruned_with_columns(c, runs, k, list(zip(*q1)))
+    assert len(expected) == 4
     for scale in (1, 3**40):
         cols = [[scale * x for x in col] for col in zip(*q1)]
         assert search_with_columns(c, runs, k, cols) == expected
+
+
+def test_negated_pairs_only_when_every_find_has_every_row():
+    """A closed run with u = 0 that holds the zero row may end a find early
+    when fewer rows than k are asked for: then X' need not be a find (the
+    negation of ((0,), (0,), (-1,)) is ((0,), (1,), (0,)), whose prefix
+    ((0,), (1,)) is the find), so the kernel walks both signs as given."""
+    runs = [([(0,)], 1), ([(1,), (0,), (-1,)], 2)]
+    cols = [(1, 0, 0)]
+    found = search_with_columns([[1]], runs, 1, cols)
+    assert found == unpruned_with_columns([[1]], runs, 1, cols)
+    assert found == [((0,), (1,)), ((0,), (0,), (-1,)), ((0,), (-1,))]
 
 
 def appended_by_hand(c, runs, fixed):
@@ -287,23 +321,32 @@ PAIR = [r for r in box([[6, 1], [1, 1]], True) if any(r)]
 
 
 @pytest.mark.parametrize(
-    "c, runs, fixed",
+    "c, runs, fixed, psd_checks",
     [
         # runs of the zero row with u != 0: only the appended entry makes
         # that row nonzero, which lets the row-count prune end the first
         # search at its root and cut the fourth from 123 PSD checks to 77
-        ([[1]], [([(1,), (-1,)], 2), (ZERO, 1)], [(0,), (1,)]),
-        ([[2]], [([(1,), (-1,)], 2), (ZERO, 2)], [(0,), (1,)]),
-        ([[1]], [(ONE, 3), (ZERO, 1)], [(0,), (1,)]),
-        ([[6, 1], [1, 1]], [(PAIR, 3), (PAIR, 2), ([(0, 0)], 3)], [(0,), (0,), (1,)]),
+        ([[1]], [([(1,), (-1,)], 2), (ZERO, 1)], [(0,), (1,)], (0, 0)),
+        ([[2]], [([(1,), (-1,)], 2), (ZERO, 2)], [(0,), (1,)], (7, 11)),
+        ([[1]], [(ONE, 3), (ZERO, 1)], [(0,), (1,)], (4, 4)),
+        ([[6, 1], [1, 1]], [(PAIR, 3), (PAIR, 2), ([(0, 0)], 3)], [(0,), (0,), (1,)],
+         (43, 77)),
         # the orthogonal column of the 7-row Q1 with g = 9, one run per class
-        ([[9]], [(COLUMN, 1), (COLUMN, 2), (COLUMN, 3)], [(2, 0), (1, 0), (0, 1)]),
+        ([[9]], [(COLUMN, 1), (COLUMN, 2), (COLUMN, 3)], [(2, 0), (1, 0), (0, 1)],
+         (63, 89)),
     ],
+    ids=[f"c{i}-runs{i}-fixed{i}" for i in range(5)],
 )
-def test_fixed_rows_walk_the_tree_of_rows_appended_by_hand(c, runs, fixed, monkeypatch):
+def test_fixed_rows_walk_the_tree_of_rows_appended_by_hand(
+    c, runs, fixed, psd_checks, monkeypatch
+):
     """Fixed rows given to the kernel and the same rows appended by the
-    caller against diag(C, U^t U) make the same PSD checks and the same
-    finds, cut back to C's coordinates."""
+    caller against diag(C, U^t U) make the same finds, cut back to C's
+    coordinates, except that the rows appended by hand are not closed under
+    negation: that search walks both members of each -I pair, and makes
+    the second count of ``psd_checks`` where the kernel makes the first.
+    The third case has no run whose list is closed and holds a nonzero row,
+    so both make the same checks."""
     checks = []
     is_psd = _kernel_py._is_psd
     monkeypatch.setattr(_kernel_py, "_is_psd", lambda a: checks.append(a) or is_psd(a))
@@ -311,8 +354,9 @@ def test_fixed_rows_walk_the_tree_of_rows_appended_by_hand(c, runs, fixed, monke
     own = _kernel.search_rows(c, runs, k, fixed)
     own_checks = len(checks)
     by_hand = _kernel.search_rows(*appended_by_hand(c, runs, fixed), k)
-    assert own == [tuple(r[:len(c)] for r in rows) for rows in by_hand]
-    assert own_checks == len(checks) - own_checks
+    cut = [tuple(r[:len(c)] for r in rows) for rows in by_hand]
+    assert own == one_of_each_negated_pair(cut, runs, fixed, k)
+    assert (own_checks, len(checks) - own_checks) == psd_checks
 
 
 def drawn_q0(draw, l, k_max):
@@ -440,16 +484,32 @@ def test_reach_prune_keeps_psd_checks_down(monkeypatch):
     assert checks[0] <= PSD_CHECK_CEILING
 
 
+def count_finds(monkeypatch) -> list:
+    """Collects the kernel's finds from here on in the returned list."""
+    raw = []
+    search_rows = _kernel.search_rows
+
+    def counting_search_rows(*args):
+        found = search_rows(*args)
+        raw.extend(found)
+        return found
+
+    monkeypatch.setattr(_kernel, "search_rows", counting_search_rows)
+    return raw
+
+
 # PSD checks of the pinned signed solve of casebook rule d13-27-d8-fake.
 # With the fixed columns kept as cross sums under a Cauchy-Schwarz prune,
-# instead of as coordinates of the rows, the kernel made 734.
-FIXED_COLUMNS_PSD_CEILING = 468
+# instead of as coordinates of the rows, the kernel made 734; walking both
+# members of each -I pair, 468.
+FIXED_COLUMNS_PSD_CEILING = 349
 
 
 def test_fixed_columns_as_coordinates_keep_psd_checks_down(monkeypatch):
     """The target [[5,1],[1,2]] against the 10-row Q1 of rule d13-27-solve,
     signed, zero rows allowed: the PSD test on the residual of the rows
-    (r | u_i) also prunes on the cross sums."""
+    (r | u_i) also prunes on the cross sums, and the kernel makes one find
+    of each -I pair, 4 (8 with both members) for the 4 solutions."""
     q10 = [[1, 1]] + [[1, 0]] * 6 + [[0, 1]] * 3
     problem = GramProblem(
         target_gram=IntMatrix.from_rows([[5, 1], [1, 2]]),
@@ -458,8 +518,28 @@ def test_fixed_columns_as_coordinates_keep_psd_checks_down(monkeypatch):
         fixed_blocks=(IntMatrix.from_rows(q10),),
     )
     checks = count_psd_checks(monkeypatch)
+    raw = count_finds(monkeypatch)
     assert len(solve(problem)) == 4
+    assert len(raw) == 4
     assert checks[0] <= FIXED_COLUMNS_PSD_CEILING
+
+
+# PSD checks of the orthogonal column of casebook rule d13-27-c8-column;
+# walking both members of each -I pair, the kernel made 89.
+COLUMN_PSD_CEILING = 63
+
+
+def test_orthogonal_column_walks_one_of_each_negated_pair(monkeypatch):
+    """Rule d13-27-c8-column: the 7-row Q1 with g = 9 and entry 1 forced to
+    zero. Its six columns come from 2 finds (4 with both members of each
+    -I pair), each arranged and negated where its first nonzero entry is
+    negative."""
+    q7 = [[2, 0], [1, 1], [1, 0], [1, 0], [0, 1], [0, 1], [0, 1]]
+    checks = count_psd_checks(monkeypatch)
+    raw = count_finds(monkeypatch)
+    assert len(solve_orthogonal_column(IntMatrix.from_rows(q7), 9, zero_rows={1})) == 6
+    assert len(raw) == 2
+    assert checks[0] <= COLUMN_PSD_CEILING
 
 
 def test_a_run_is_never_materialized():
@@ -489,7 +569,8 @@ def test_twelve_hundred_rows_are_placed():
 
 # Interleaved groups: (target, problem options, kernel finds). Walked index
 # by index, the five searches made 48, 6, 48, 64 and 648 finds; with each
-# group one run but both signs of every row walked, 8, 1, 8, 32 and 20.
+# group one run but both signs of every row walked, 8, 1, 8, 32 and 20; with
+# sign representatives but both members of each -I pair, the last made 5.
 INTERLEAVED = [
     ([[5, 1], [1, 2]], dict(sign_mode="signed", row_count=5, zero_rows={1, 3}), 1),
     ([[5, 1], [1, 2]], dict(row_count=5, zero_rows={1, 3}), 1),
@@ -498,7 +579,7 @@ INTERLEAVED = [
     ([[5, 2], [2, 4]], dict(sign_mode="signed", row_count=5,
                             diag_constraints=(5, 4, 5, 13, 5), defect_order=16), 2),
     ([[6, 1], [1, 3]], dict(sign_mode="signed", require_nonzero_rows=False,
-                            fixed_blocks=(IntMatrix.from_rows([[1], [0]] * 3),)), 5),
+                            fixed_blocks=(IntMatrix.from_rows([[1], [0]] * 3),)), 3),
 ]
 
 # Signed pinned problems on disconnected targets, every group sign-free:
@@ -518,16 +599,8 @@ def assert_finds(target, options, finds, monkeypatch):
     its kernel search makes ``finds`` finds."""
     options = {**options, "zero_rows": frozenset(options.get("zero_rows", ()))}
     problem = GramProblem(target_gram=IntMatrix.from_rows(target), **options)
-    raw = []
-    search_rows = _kernel.search_rows
-
-    def counting_search_rows(*args):
-        found = search_rows(*args)
-        raw.extend(found)
-        return found
-
     expected = expanding_solve(problem)
-    monkeypatch.setattr(_kernel, "search_rows", counting_search_rows)
+    raw = count_finds(monkeypatch)
     assert expected and solved_rows(problem) == expected
     assert len(raw) == finds
 
@@ -539,8 +612,8 @@ def test_interleaved_pinned_groups_are_searched_as_multisets(
     """Groups whose indices interleave are each one run, so the kernel finds
     each multiset of a group's rows once; walking them index by index, as
     ``expanding_solve`` does, gives the same solutions in the same order. A
-    sign-free group walks its sign representatives only, and -I pairs the
-    finds of the others."""
+    sign-free group walks its sign representatives only, and of the finds
+    X and X' that -I pairs, the kernel makes one."""
     assert_finds(target, options, finds, monkeypatch)
 
 
