@@ -149,10 +149,10 @@ def _rooted_code(adj: dict[int, list[int]], root: int, parent: int) -> str:
     return "(" + "".join(subcodes) + ")"
 
 
-def _marked_code(edges, marked: int) -> str:
-    """Canonical code of the tree rooted at the marked vertex; equal codes
-    mean the marked trees are isomorphic."""
-    return _rooted_code(_adjacency(edges), marked, -1)
+def _marked_code(adj: dict[int, list[int]], marked: int) -> str:
+    """Canonical code of the tree with adjacency adj, rooted at the marked
+    vertex; equal codes mean the marked trees are isomorphic."""
+    return _rooted_code(adj, marked, -1)
 
 
 def _free_code(edges) -> str:
@@ -206,7 +206,7 @@ def _marked_trees(e: int) -> tuple[tuple, ...]:
         squares = [len(adj[v]) ** 2 for v in range(e + 1)]
         seen = set()
         for v in range(e + 1):
-            code = _marked_code(edges, v)
+            code = _marked_code(adj, v)
             if code in seen:
                 continue
             seen.add(code)
@@ -259,7 +259,7 @@ def shape_name(t: BrauerTree) -> str:
             return base
         center = max(range(e + 1), key=t.degree)
         return base + ("_center" if t.exceptional == center else "_leaf")
-    tag = _marked_code(t.edges, t.exceptional) if marked else _free_code(t.edges)
+    tag = _marked_code(t.adjacency, t.exceptional) if marked else _free_code(t.edges)
     digest = hashlib.sha256(tag.encode()).hexdigest()[:4]
     return f"tree_e{e}_{digest}"
 

@@ -3,10 +3,16 @@
 For each entry sum the engine enumerates candidates, applies the arithmetic
 feasibility screen, routes prime-determinant candidates through the Brauer
 tree classification, and then executes a per-candidate rule chain loaded
-from a data file. Computational rules (solver runs, congruences, counting
-checks) are executed; external_citation rules only record a statement.
-Every feasible candidate ends with exactly one terminal verdict from
+from a data file. The rules of every candidate run, whatever the screen
+said. Computational rules (solver runs, congruences, counting checks) are
+executed; external_citation rules only record a statement. Every candidate
+ends with exactly one terminal verdict from
 {realized, excluded, infeasible, open_flagged, unresolved}.
+
+The screen's ``infeasible`` and the tree step's ``excluded`` are final: a
+rule verdict that differs, and a realization row for such a candidate, are
+regressions. A ``CaseRule`` is checked against the rule schema when it is
+built, so a rule made in Python is refused exactly as a rule file is.
 """
 
 from __future__ import annotations
@@ -110,6 +116,7 @@ class CaseRule:
             raise CasebookError("external_citation rules must carry a citation")
         if self.verdict is not None and self.verdict not in VERDICTS:
             raise CasebookError(f"unknown verdict {self.verdict!r}")
+        _check_params(self.kind, self.params, f"rule {self.rule_id} params")
 
 
 @dataclass
@@ -263,7 +270,7 @@ def _rule_from_obj(obj: Any) -> CaseRule:
     """A rule from its JSON object, checked against the schema above."""
     where = f"rule {obj.get('id', obj) if isinstance(obj, dict) else obj!r}"
     _check(obj, _RULE, where)
-    rule = CaseRule(
+    return CaseRule(
         rule_id=obj["id"],
         candidate=matrix_from_obj(obj["candidate"]),
         kind=obj["kind"],
@@ -273,8 +280,6 @@ def _rule_from_obj(obj: Any) -> CaseRule:
         verdict=obj.get("verdict"),
         requires_data=tuple(obj.get("requires_data", ())),
     )
-    _check_params(rule.kind, rule.params, f"{where} params")
-    return rule
 
 
 def det25_decomposition(
@@ -371,6 +376,7 @@ class _Engine:
             zero_rows=frozenset(params.get("zero_rows", ())),
         )
         sols = solve(problem)
+        defect = params.get("defect_order", cand.divisors[-1])
         outcome: dict = {
             "solution_count": len(sols),
             "row_counts": sorted(s.q.row_count for s in sols),
@@ -380,7 +386,6 @@ class _Engine:
         self.solutions[cand.matrix, rule.rule_id] = sols
 
         if params.get("contribution"):
-            defect = params.get("defect_order", cand_defect(cand))
             diags = []
             k0s = []
             for s in sols:
@@ -401,8 +406,7 @@ class _Engine:
         if "valuation_filter" in params:
             outcome.update(
                 self._apply_valuation_filter(
-                    gram, sols, params["valuation_filter"],
-                    params.get("defect_order", cand_defect(cand)),
+                    gram, sols, params["valuation_filter"], defect
                 )
             )
         return outcome
@@ -487,58 +491,51 @@ class _Engine:
         return outcome
 
 
-def cand_defect(cand: CartanCandidate) -> int:
-    return cand.divisors[-1]
-
-
-def run_dimension(
-    n: int,
-    rules: Sequence[CaseRule] | None = None,
-    data: dict | None = None,
-    realizations: list[dict] | None = None,
-) -> CaseReport:
+def run_dimension(n: int, rules: Sequence[CaseRule] | None = None) -> CaseReport:
     """Enumerate, screen, and resolve every candidate of entry sum n.
 
     With rules=None the packaged rule set for n is loaded (empty for
-    dimensions without one). A rule naming a candidate that enumeration
-    does not produce is an error: it signals drift between the rule file
-    and the enumeration. The tree step's ``excluded`` is final: a rule
-    whose verdict differs is reported as a regression with both verdicts,
-    and so is a ``realized`` verdict with no realization row.
+    dimensions without one). A rule or realization row naming a candidate
+    that enumeration does not produce is an error: it signals drift between
+    the data files and the enumeration. Every candidate's rules run, whatever
+    the screen said. The screen's ``infeasible`` and the tree step's
+    ``excluded`` are final: a rule whose verdict differs, and a realization
+    row for such a candidate, are reported as regressions, and so is a
+    ``realized`` verdict with no realization row.
     """
     if n < 1:
         raise CasebookError("dimension must be positive")
     if rules is None:
         rules = load_rules(n)
-    if data is None:
-        data = load_local_data()
-    if realizations is None:
-        realizations = load_realizations(n)
-    catalog = quotient_catalog(data)
-    realization_index: dict[IntMatrix, list[dict]] = {}
-    for row in realizations:
-        m = matrix_from_obj(row["matrix"])
-        realization_index.setdefault(m, []).append(row)
+    data = load_local_data()
 
     candidates: list[CartanCandidate] = []
     l = 1
     while min_sum_for_l(l) <= n:
         candidates.extend(enumerate_cartan(n, l))
         l += 1
-    by_matrix = {c.matrix: c for c in candidates}
+    enumerated = {c.matrix for c in candidates}
 
-    for rule in rules:
-        if rule.candidate not in by_matrix:
+    def claimed(m: IntMatrix, what: str) -> IntMatrix:
+        if m not in enumerated:
             raise CasebookError(
-                f"rule {rule.rule_id!r} references a candidate that was not "
-                f"enumerated: {rule.candidate.to_lists()}"
+                f"{what} references a candidate that was not enumerated: "
+                f"{m.to_lists()}"
             )
+        return m
+
     rules_by_candidate: dict[IntMatrix, list[CaseRule]] = {}
     for rule in rules:
-        rules_by_candidate.setdefault(rule.candidate, []).append(rule)
+        m = claimed(rule.candidate, f"rule {rule.rule_id!r}")
+        rules_by_candidate.setdefault(m, []).append(rule)
+    realization_index: dict[IntMatrix, list[dict]] = {}
+    for row in load_realizations(n):
+        where = f"realization row {row['morita_class']!r}"
+        m = claimed(matrix_from_obj(row["matrix"]), where)
+        realization_index.setdefault(m, []).append(row)
 
     tree_matches = {r.cartan: r for r in classify_defect1(n)}
-    engine = _Engine(data, catalog)
+    engine = _Engine(data, quotient_catalog(data))
     run_rule = {
         "solver_run": engine.run_solver_rule,
         "congruence": engine.run_congruence_rule,
@@ -550,6 +547,7 @@ def run_dimension(
     final_rows: list[dict] = []
 
     for cand in candidates:
+        listed = cand.matrix.to_lists()
         trail: list[dict] = []
         verdict: str | None = None
 
@@ -564,7 +562,7 @@ def run_dimension(
             # edges were enumerated
             if cand.l > brauer.EDGE_BOUND:
                 raise CasebookError(
-                    f"candidate {cand.matrix.to_lists()} needs trees with {cand.l} "
+                    f"candidate {listed} needs trees with {cand.l} "
                     f"edges, beyond the bound {brauer.EDGE_BOUND}"
                 )
             match = tree_matches.get(cand.matrix)
@@ -588,77 +586,56 @@ def run_dimension(
                 verdict = "excluded"
             elif cand.matrix in realization_index:
                 verdict = "realized"
-        # the tree step's exclusion, which no rule may overturn
-        computed = verdict if verdict == "excluded" else None
+        # the screen's and the tree step's verdicts, which nothing may overturn
+        computed = verdict if verdict in ("infeasible", "excluded") else None
         verdict_rule = None
 
-        if verdict != "infeasible":
-            for rule in rules_by_candidate.get(cand.matrix, []):
-                entry: dict = {"rule": rule.rule_id, "kind": rule.kind}
-                missing = [
-                    key
-                    for key in rule.requires_data
-                    if _data_lookup(data, key) is None
-                ]
-                if missing:
-                    entry["outcome"] = SKIPPED_OUTCOME
-                    trail.append(entry)
-                    continue
-                outcome = run_rule[rule.kind](cand, rule)
-                entry["outcome"] = outcome
-                if rule.citation:
-                    entry["citation"] = rule.citation
-                trail.append(entry)
-                if rule.expected_outcome is not None and not _outcome_matches(
-                    rule.expected_outcome, outcome
-                ):
-                    regressions.append(
-                        {
-                            "rule": rule.rule_id,
-                            "candidate": cand.matrix.to_lists(),
-                            "expected": rule.expected_outcome,
-                            "actual": outcome,
-                        }
-                    )
-                if rule.verdict is None or rule.verdict == computed:
-                    continue
-                if computed is not None:
-                    regressions.append(
-                        {
-                            "rule": rule.rule_id,
-                            "candidate": cand.matrix.to_lists(),
-                            "computed_verdict": computed,
-                            "rule_verdict": rule.verdict,
-                        }
-                    )
-                else:
-                    verdict, verdict_rule = rule.verdict, rule.rule_id
-
-        if verdict is None:
-            verdict = "unresolved"
-        if verdict == "realized":
-            if cand.matrix not in realization_index:
+        for rule in rules_by_candidate.get(cand.matrix, []):
+            entry: dict = {"rule": rule.rule_id, "kind": rule.kind}
+            trail.append(entry)
+            if any(_data_lookup(data, key) is None for key in rule.requires_data):
+                entry["outcome"] = SKIPPED_OUTCOME
+                continue
+            entry["outcome"] = outcome = run_rule[rule.kind](cand, rule)
+            if rule.citation:
+                entry["citation"] = rule.citation
+            claim = {"rule": rule.rule_id, "candidate": listed}
+            if rule.expected_outcome is not None and not _outcome_matches(
+                rule.expected_outcome, outcome
+            ):
                 regressions.append(
-                    {
-                        "rule": verdict_rule,
-                        "candidate": cand.matrix.to_lists(),
-                        "rule_verdict": verdict,
-                        "final_table_rows": 0,
-                    }
+                    {**claim, "expected": rule.expected_outcome, "actual": outcome}
                 )
-            for row in realization_index.get(cand.matrix, []):
-                final_rows.append(
-                    {
-                        "defect_group": row["defect_group"],
-                        "morita_class": row["morita_class"],
-                    }
+            if rule.verdict is None or rule.verdict == computed:
+                continue
+            if computed is not None:
+                regressions.append(
+                    {**claim, "computed_verdict": computed, "rule_verdict": rule.verdict}
                 )
+            else:
+                verdict, verdict_rule = rule.verdict, rule.rule_id
+
+        rows = [
+            {"defect_group": row["defect_group"], "morita_class": row["morita_class"]}
+            for row in realization_index.get(cand.matrix, [])
+        ]
+        if computed is not None:
+            regressions.extend(
+                {"candidate": listed, "computed_verdict": computed, **row} for row in rows
+            )
+        elif verdict == "realized":
+            if not rows:
+                regressions.append(
+                    {"rule": verdict_rule, "candidate": listed,
+                     "rule_verdict": verdict, "final_table_rows": 0}
+                )
+            final_rows.extend(rows)
         report_candidates.append(
             {
-                "matrix": cand.matrix.to_lists(),
+                "matrix": listed,
                 "l": cand.l,
                 "det": cand.det,
-                "verdict": verdict,
+                "verdict": verdict or "unresolved",
                 "verdicts": trail,
             }
         )

@@ -344,7 +344,7 @@ def _cmd_heights(args) -> tuple[dict, int, str | None]:
 def _tree_obj(tree, cartan: IntMatrix) -> dict:
     inv = invariants_of_tree(tree)
     return {
-        "tree_code": _marked_code(tree.edges, tree.exceptional),
+        "tree_code": _marked_code(tree.adjacency, tree.exceptional),
         "shape": shape_name(tree),
         "exceptional_vertex": tree.exceptional,
         "m": tree.multiplicity,

@@ -5,13 +5,14 @@ from collections import Counter
 
 import pytest
 
-from blocksmith import IntMatrix, brauer
+from blocksmith import IntMatrix, brauer, casebook
 from blocksmith.casebook import (
     SKIPPED_OUTCOME,
     CaseRule,
     CasebookError,
     LocalDatum,
     _outcome_matches,
+    _rule_from_obj,
     brauer_count_check,
     congruence_filter,
     det25_decomposition,
@@ -146,6 +147,29 @@ def test_rule_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"sign_mod": "signed"}, "rule typo params has unknown keys sign_mod"),
+        ({"contribution": "yes"},
+         "rule typo params.contribution must be a boolean, got 'yes'"),
+    ],
+)
+def test_rule_built_in_python_is_checked_like_a_rule_file(params, message):
+    """A misspelt or mistyped parameter is refused when the rule is built,
+    with the message a rule file gets, instead of running as a default
+    nonnegative solve."""
+    obj = {"id": "typo", "candidate": [[13]], "kind": "solver_run", "params": params}
+    for build in (
+        lambda: CaseRule(rule_id="typo", candidate=M([[13]]), kind="solver_run",
+                         params=params),
+        lambda: _rule_from_obj(obj),
+    ):
+        with pytest.raises(CasebookError) as err:
+            build()
+        assert str(err.value) == message
+
+
 # ------------------------------------------------------- det-25 shortcut
 
 
@@ -264,6 +288,45 @@ def test_rule_for_unknown_candidate_is_an_error():
     with pytest.raises(CasebookError) as err:
         run_dimension(13, rules=[rule])
     assert "ghost" in str(err.value)
+
+
+def with_realization_rows(monkeypatch, *rows):
+    packaged = casebook.load_realizations
+    monkeypatch.setattr(
+        casebook, "load_realizations", lambda n: packaged(n) + list(rows)
+    )
+
+
+def test_realization_row_for_unknown_candidate_is_an_error(monkeypatch):
+    with_realization_rows(
+        monkeypatch,
+        {"matrix": {"rows": [[99]]}, "defect_group": "C2", "morita_class": "ghost"},
+    )
+    with pytest.raises(
+        CasebookError,
+        match=r"realization row 'ghost' references a candidate that was not "
+        r"enumerated: \[\[99\]\]",
+    ):
+        run_dimension(14)
+
+
+def test_realization_row_cannot_overturn_the_tree_step_or_the_screen(monkeypatch):
+    """At dimension 14 the tree step excludes [[7,2],[2,3]] and the screen
+    rules out [[14]] (det 14 is not a prime power); a realization row for
+    either is a regression, and neither reaches the final table."""
+    excluded = {"matrix": {"rows": [[7, 2], [2, 3]]}, "defect_group": "C17",
+                "morita_class": "probe-excluded"}
+    infeasible = {"matrix": {"rows": [[14]]}, "defect_group": "C2",
+                  "morita_class": "probe-infeasible"}
+    with_realization_rows(monkeypatch, excluded, infeasible)
+    report = run_dimension(14)
+    assert len(report.final_table) == 4
+    assert report.regressions == [
+        {"candidate": [[14]], "computed_verdict": "infeasible",
+         "defect_group": "C2", "morita_class": "probe-infeasible"},
+        {"candidate": [[7, 2], [2, 3]], "computed_verdict": "excluded",
+         "defect_group": "C17", "morita_class": "probe-excluded"},
+    ]
 
 
 def test_tree_step_beyond_the_edge_bound_is_an_error(monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -639,6 +640,43 @@ def test_casebook_rule_cannot_overturn_the_tree_step(tmp_path, capsys):
     assert code == EXIT_OK and env["payload"]["verdict_counts"] == counts
 
 
+def test_casebook_rule_cannot_overturn_the_screen(tmp_path, capsys):
+    """At dimension 13 the screen rules out [[6,2],[2,3]] (det 14 is not a
+    prime power). Its rules still run, so the solve shows in its trail, and
+    a rule that calls it realized is a regression that lists both verdicts;
+    the candidate stays infeasible."""
+    rules = [
+        {
+            "id": "overturn",
+            "candidate": [[6, 2], [2, 3]],
+            "kind": "solver_run",
+            "params": {},
+            "verdict": "realized",
+        }
+    ]
+    f = tmp_path / "rules.json"
+    f.write_text(json.dumps(rules), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, env = run_json(capsys, "casebook", "run", "--dim", "13", "--rules", str(f),
+                         "--report", str(report))
+    assert code == EXIT_REGRESSION and env["status"] == "regression"
+    assert env["payload"]["regressions"] == [
+        {
+            "rule": "overturn",
+            "candidate": [[6, 2], [2, 3]],
+            "computed_verdict": "infeasible",
+            "rule_verdict": "realized",
+        }
+    ]
+    (cand,) = [c for c in json.loads(report.read_text(encoding="utf-8"))["candidates"]
+               if c["matrix"] == [[6, 2], [2, 3]]]
+    assert cand["verdict"] == "infeasible"
+    assert [(e["rule"], e["kind"]) for e in cand["verdicts"]] == [
+        ("auto:feasibility", "feasibility"), ("overturn", "solver_run")
+    ]
+    assert "solution_count" in cand["verdicts"][1]["outcome"]
+
+
 def test_casebook_realized_verdict_needs_a_final_table_row(tmp_path, capsys):
     """[[5,1,1],[1,2,0],[1,0,2]] (det 16, so no tree step) has no row in the
     dimension-13 realizations; a rule that calls it realized is a
@@ -736,10 +774,13 @@ def test_unwritable_report_path_is_invalid_input(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the child finds the package where this process does, installed or not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "blocksmith.cli", "snf", "--matrix", "[[7,1],[1,4]]"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["diagonal"] == [1, 27]

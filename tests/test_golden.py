@@ -6,7 +6,8 @@ took each run's fixed row, the Gram and contribution digests from the code
 before adj(C), det C and the row forms of a target moved into one cache, and
 the digests of the trees by edge count from the code before the tree layer
 took one breadth-first walk for its tree check, path positions and tree
-centres, so a refactor that is meant to keep the output byte-identical shows
+centres, and the enumeration digests from the code before the casebook ran
+every candidate's rules one way, so a refactor that is meant to keep the output byte-identical shows
 here when it does not. A change that alters an output on purpose records
 the new digest and says why.
 """
@@ -15,6 +16,7 @@ import hashlib
 
 import pytest
 
+from blocksmith.cartan import min_sum_for_l
 from blocksmith.cli import EXIT_OK, dispatch
 
 CASEBOOK_PLAIN = {
@@ -54,6 +56,19 @@ TREES = {
     38: "f4ba416f4095af560730d54b603f0ac9293f0cb0d2945357b0ecec255125c1e9",
     39: "be40fd40a53832b78013c90853c0f79c582c11042ecf5002a61e42265918e9e5",
     40: "ef8a0866e51749d1b02e96ccddc66fea824bb99b63accbca7e6671d86af3bd2f",
+}
+
+# entry sum: one digest over every admitted l, the json, csv and table
+# formats, each with and without --feasible-only
+ENUMERATE = {
+    13: "19784321fd69eadf5fafa50eaf2777cde3d22b15c5320e9aaf6dafbc9b36a4a9",
+    14: "e9844ab24108a8dbecbf167563392556b8457d3adf85a648e7d7637322d73f04",
+    15: "c6e29f67c2043df070129584e02a9ccf39951f95c402ccfc28895c80c89f0e62",
+    16: "7508feb262482e846846be008ac772814ffdd0983937d46b6a6491b69b7e9e84",
+    17: "2a704fce8feb787b80d889ca23a50bb4669cbeb5e708f05c7bf1d5d10c505596",
+    18: "538001b06e70e285de9ba78c4a5de71ab7dae1218a9fc7213ccbc19c86139b2a",
+    19: "593eb4ceeb6852b97ad8b3674bca421b7efd1739ac43eaa6740fa049ccca3918",
+    20: "65a697f327f556da8c269b3a0a1aa625b63e789daa6d963e8086041252a8874f",
 }
 
 # (e, m): digests of the JSON and the table output
@@ -145,6 +160,24 @@ def test_brauer_trees_by_edges_are_golden(capsys):
         got[e, m] = (sha(stdout_of(capsys, *run)),
                      sha(stdout_of(capsys, *run, "--format", "table")))
     assert got == EDGES
+
+
+def test_enumerate_cartan_outputs_are_golden(capsys):
+    """``enumerate-cartan --sum n --l l`` for n = 13..20 and every l with
+    min_sum_for_l(l) <= n, in each format, with and without
+    ``--feasible-only``: every candidate, its Smith form and its screen."""
+    got = {}
+    for n in ENUMERATE:
+        h = hashlib.sha256()
+        l = 1
+        while min_sum_for_l(l) <= n:
+            for fmt in ("json", "csv", "table"):
+                for feasible in ((), ("--feasible-only",)):
+                    h.update(stdout_of(capsys, "enumerate-cartan", "--sum", str(n),
+                                       "--l", str(l), "--format", fmt, *feasible))
+            l += 1
+        got[n] = h.hexdigest()
+    assert got == ENUMERATE
 
 
 # the 10-row solution of rule d13-27-solve, the fixed block of d13-27-d8-fake
