@@ -11,8 +11,10 @@ ends with exactly one terminal verdict from
 
 The screen's ``infeasible`` and the tree step's ``excluded`` are final: a
 rule verdict that differs, and a realization row for such a candidate, are
-regressions. A ``CaseRule`` is checked against the rule schema when it is
-built, so a rule made in Python is refused exactly as a rule file is.
+regressions. So is a realization row for a candidate that a rule gives
+another final verdict, or that the packaged rules leave unresolved. A
+``CaseRule`` is checked against the rule schema when it is built, so a
+rule made in Python is refused exactly as a rule file is.
 """
 
 from __future__ import annotations
@@ -501,11 +503,18 @@ def run_dimension(n: int, rules: Sequence[CaseRule] | None = None) -> CaseReport
     the screen said. The screen's ``infeasible`` and the tree step's
     ``excluded`` are final: a rule whose verdict differs, and a realization
     row for such a candidate, are reported as regressions, and so is a
-    ``realized`` verdict with no realization row.
+    ``realized`` verdict with no realization row. A realization row for a
+    candidate whose final verdict is anything but ``realized`` is a
+    regression too, naming that verdict and the rule that gave it (None if
+    none did): always when a rule gave it, and for ``unresolved`` when the
+    rules are the packaged set the realizations were written for. Rules
+    given in their place (a probe of one rule, say) leave the other
+    candidates unresolved by design, and their rows are not reported.
     """
     if n < 1:
         raise CasebookError("dimension must be positive")
-    if rules is None:
+    packaged = rules is None
+    if packaged:
         rules = load_rules(n)
     data = load_local_data()
 
@@ -630,6 +639,12 @@ def run_dimension(n: int, rules: Sequence[CaseRule] | None = None) -> CaseReport
                      "rule_verdict": verdict, "final_table_rows": 0}
                 )
             final_rows.extend(rows)
+        elif verdict is not None or packaged:
+            regressions.extend(
+                {"candidate": listed, "final_verdict": verdict or "unresolved",
+                 "rule": verdict_rule, **row}
+                for row in rows
+            )
         report_candidates.append(
             {
                 "matrix": listed,

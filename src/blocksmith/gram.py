@@ -18,16 +18,21 @@ kernel. A group whose rows may change sign freely (signed, with no
 fixed-block entries) is searched over sign representatives only, rows
 r >= 0, and the classes are built from each sequence X the kernel finds
 directly, one canonical form per class code, without expanding every sign
-choice of X and deduplicating. ``verify_solution`` re-checks every
-returned solution from its rows and columns; what it needs of the problem
-alone (the upper triangle of C, the allowed row counts, the fixed-block
-columns) is built once per problem and cached on it. The solution list is
-ordered by (row count, repr of the rows) through ranks of the distinct
-rows, with no repr per solution (``_sort_forms``).
+choice of X and deduplicating; a solve with one group and one sign pattern
+(every connected signed free target) lists the forms with no dedupe at
+all. ``verify_solution`` re-checks every returned solution from its rows;
+what it needs of the problem alone (the upper triangle of C, the allowed
+row counts, the fixed-block columns and a row table) is built once per
+problem and cached on it. The row table (``_RowTable``) holds, per row
+read, its upper-triangle products and whether it keeps the row bound, so
+Q^t Q = C is the column sums of the rows' products and each row costs one
+lookup. The solution list is ordered by (row count, repr of the rows)
+through ranks of the distinct rows, with no repr per solution
+(``_sort_forms``).
 
 adj(C), det C and the row forms r.adj(C).s^t of a target come from one
 cache keyed on C (``row_forms``). The pool build fills its (r, r) entries
-once per target, and every later reader (verification, the diagonal
+once per target, and every later reader (the row table, the diagonal
 filter, the casebook valuation filter and the contribution matrix) looks
 the values up instead of evaluating them per solution.
 """
@@ -146,15 +151,15 @@ class GramProblem:
     @cached_property
     def _checks(
         self,
-    ) -> tuple[list[int] | None, range | None, set[int], list[Row], RowForms | None]:
+    ) -> tuple[list[int] | None, range | None, set[int], list[Row], _RowTable | None]:
         """What ``verify_solution`` reads from the problem alone, built on
         its first call: the upper triangle of C, row-major (None when C is
         not symmetric, as then no Q has Q^t Q = C), the allowed row counts
         (None for any), the row counts of the fixed blocks and their
-        columns, side by side, and the ``row_forms`` entry of C (None with
-        the upper triangle, which ``verify_solution`` checks first). A
-        cached property is not a field, so equality and the hash stay those
-        of the fields."""
+        columns, side by side, and the problem's row table (None with the
+        upper triangle, which ``verify_solution`` checks first). A cached
+        property is not a field, so equality and the hash stay those of the
+        fields."""
         c = self.target_gram
         upper = [x for i, row in enumerate(c.rows) for x in row[i:]] if c.is_symmetric else None
         k = self.pinned_row_count()
@@ -166,8 +171,8 @@ class GramProblem:
             counts = None if window is None else range(window[0], window[1] + 1)
         block_rows = {b.row_count for b in self.fixed_blocks}
         fixed_cols = [col for b in self.fixed_blocks for col in zip(*b.rows)]
-        forms = None if upper is None else row_forms(self.target_gram)
-        return upper, counts, block_rows, fixed_cols, forms
+        table = None if upper is None else _RowTable(row_forms(self.target_gram))
+        return upper, counts, block_rows, fixed_cols, table
 
 
 @dataclass(frozen=True)
@@ -208,6 +213,43 @@ def row_forms(c: IntMatrix) -> RowForms:
     pinned diagonal filter, the casebook valuation filter and
     ``contrib.contribution_matrix`` read from it."""
     return RowForms(*adjugate_and_det(c))
+
+
+class _RowTable(dict):
+    """The row table of one problem: row r -> the products r_i r_j over the
+    upper triangle (i <= j), row-major, or None when r breaks the row bound
+    r . adj(C) . r^t <= ``_quad_limit(det C)``. Each row is entered on its
+    first read, its products computed from r and r . adj . r^t read from
+    the (r, r) entry of ``forms``, which the pool build has filled for
+    every row of the box. Summed over the rows of Q, the products are the
+    upper triangle of Q^t Q."""
+
+    def __init__(self, forms: RowForms) -> None:
+        super().__init__()
+        self.forms = forms
+        self.limit = _quad_limit(forms.det)
+        self.pick = _triangle_picks(forms.adj.col_count)
+
+    def __missing__(self, row: Row) -> list[int] | None:
+        if self.forms[row, row] > self.limit:
+            value = None
+        else:
+            left, right = self.pick
+            value = list(map(mul, left(row), right(row)))
+        self[row] = value
+        return value
+
+
+@lru_cache(maxsize=None)
+def _triangle_picks(l: int) -> tuple:
+    """Two getters taking r_i and r_j, for each upper-triangle position
+    (i, j) in row-major order, from a row r of length l. An itemgetter of
+    one index returns the entry, not a tuple, so for l = 1 both are
+    ``tuple``, which returns the row itself."""
+    if l == 1:
+        return tuple, tuple
+    left, right = zip(*itertools.combinations_with_replacement(range(l), 2))
+    return itemgetter(*left), itemgetter(*right)
 
 
 def _quad_limit(d: int) -> int:
@@ -342,7 +384,9 @@ def _sign_classes(
     pick's v repeated by its count, the blocks in group order; when the
     groups are not consecutive runs of indices, one fixed permutation puts
     each block on its group's indices. The form is the largest over the
-    patterns.
+    patterns; with one pattern and the blocks already on their indices (a
+    connected signed free problem) it is the one tuple built, yielded as
+    it is.
     """
     mults: list[int] = []
     flips: list[int] = []
@@ -375,6 +419,13 @@ def _sign_classes(
         codes = _class_codes(flips)
     else:
         codes = itertools.product(*(range(m + 1) for m in flips))
+    if len(picks) == 1 and place is None:
+        # one pattern, blocks in index order: each expansion is its form
+        ((vs, ix),) = picks
+        for code in codes:
+            counts = list(chain(zip(map(sub, mults, code), code)))
+            yield tuple(chain(map(itertools.repeat, vs, map(counts.__getitem__, ix))))
+        return
     for code in codes:
         # copies of run t kept (slot 2t) and negated (slot 2t + 1)
         counts = list(chain(zip(map(sub, mults, code), code)))
@@ -409,14 +460,18 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
     of the sign-free groups negated; together they are exactly the
     sequences a search over both signs finds. The solutions are the
     classes of expansions under the column-sign patterns S, each named by
-    its largest form, and ``_sign_classes`` builds them per code j,
-    deduplicated with one dict. These rules are exact:
+    its largest form, and ``_sign_classes`` builds them per code j. These
+    rules are exact:
 
     - One group, all sign-free, C connected (patterns +-I): -I keeps X and
       maps code j to m - j, so each code is one class of X, and the
       identity's form is the larger (at the first run where j and m - j
       differ it keeps more positive copies); only the identity and the
-      codes j <= m - j of ``_class_codes`` are used.
+      codes j <= m - j of ``_class_codes`` are used. No form repeats, so
+      the forms are listed as built, with no dedupe dict: two codes of one
+      X are two classes; distinct finds are distinct multisets of sign
+      representatives, which every expansion of a find keeps; and the
+      fills of one find differ in length.
     - More than two patterns, every group sign-free: S maps the expansions
       of X one to one onto those of rep(S X), the sign representatives of
       its rows sorted per group, so every class meets the expansions of
@@ -426,7 +481,13 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
       that of X' with code m - j, where X' is X with the rows of those
       groups negated. Their runs are the ones the kernel negates, and it
       returns one of X and X', so each code j of X is used, and together
-      they meet every class; the dict drops the repeats.
+      they meet every class.
+
+    The last two cases keep one dedupe dict, as a class can be met more
+    than once there: through two codes of an X that some S other than +-I
+    maps to itself, or of an X equal to its X'. An unsigned pinned problem
+    of several groups (one pattern, one code per find) goes through the
+    same loop.
 
     An unsigned single group has one pattern and nothing to negate, so its
     sequence is its own form. With zero rows allowed, a free row-count
@@ -489,6 +550,13 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
             image += sorted((max(v, tuple(-x for x in v)) for v in vs), reverse=True)
         return image
 
+    if len(patterns) == 1 and len(groups) == 1:
+        return [
+            form
+            for rows in found
+            for fill in fills(len(rows))
+            for form in _sign_classes([rows + fill], sign_free, patterns, groups)
+        ]
     out: dict[tuple[Row, ...], None] = {}
     for rows in found:
         if orbit and list(rows) != max(rep_image(pat, split(rows)) for pat in patterns):
@@ -588,30 +656,36 @@ def solve_orthogonal_column(
 
 
 def verify_solution(p: GramProblem, s: GramSolution) -> bool:
-    """Re-derive every constraint of the problem from the rows and columns
-    of Q: the row counts, Q^t Q = C (a symmetric C, compared on its upper
-    triangle), the signs, each row's bound and zero-row flag, B^t Q = 0 for
-    each fixed block B and the contribution diagonal. No intermediate
-    matrix is built. What depends on the problem alone (the symmetry and
-    upper triangle of C, the allowed row counts, the fixed-block columns)
-    is built once per problem, ``GramProblem._checks``, together with the
-    ``row_forms`` entry of C: the row bound and the contribution diagonal
-    read det C and r . adj . r^t from it, with no lookup per solution; in
-    a free solve the pool build has already filled every entry read."""
+    """Re-derive every constraint of the problem from the rows of Q: the
+    row counts, Q^t Q = C (a symmetric C, compared on its upper triangle),
+    the signs, each row's bound and zero-row flag, B^t Q = 0 for each fixed
+    block B and the contribution diagonal. No intermediate matrix is built.
+    What depends on the problem alone (the symmetry and upper triangle of
+    C, the allowed row counts, the fixed-block columns, the row table) is
+    built once per problem, ``GramProblem._checks``. The row table
+    (``_RowTable``) lives on the problem, as its bound and r . adj . r^t
+    belong to C: one lookup per row gives the row's upper-triangle products,
+    whose column sums are the upper triangle of Q^t Q, or None for a row
+    over the bound. The columns of Q are built only for a fixed block, and
+    the contribution diagonal reads r . adj . r^t from the ``row_forms``
+    entry of C; in a free solve the pool build has already filled every
+    entry read."""
     q = s.q
     c = p.target_gram
     if q.col_count != c.col_count:
         raise MatrixError("solution has wrong column count")
     rows = q.rows
     n = len(rows)
-    upper, counts, block_rows, fixed_cols, forms = p._checks
+    upper, counts, block_rows, fixed_cols, table = p._checks
     if counts is not None and n not in counts:
         return False
+    if upper is None:
+        return False
+    products = list(map(table.__getitem__, rows))
+    if None in products:
+        return False
     # once C = C^t, the upper triangle of Q^t Q settles Q^t Q = C
-    cols = tuple(zip(*rows))
-    if upper is None or [
-        sum(map(mul, u, v)) for u, v in itertools.combinations_with_replacement(cols, 2)
-    ] != upper:
+    if list(map(sum, zip(*products))) != upper:
         return False
     if not p.signed and min(map(min, rows)) < 0:
         return False
@@ -625,17 +699,15 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
                 return False
             if not forced_zero and p.require_nonzero_rows and not any(row):
                 return False
-    d = forms.det
-    limit = _quad_limit(d)
-    for row in set(rows):
-        if any(row) and forms[row, row] > limit:
+    if fixed_cols:
+        cols = list(zip(*rows))
+        if block_rows != {n} or any(
+            sum(map(mul, u, v)) for u in fixed_cols for v in cols
+        ):
             return False
-    if fixed_cols and (
-        block_rows != {n}
-        or any(sum(map(mul, u, v)) for u in fixed_cols for v in cols)
-    ):
-        return False
     if p.diag_constraints is not None:
+        forms = table.forms
+        d = forms.det
         for row, want in zip(rows, p.diag_constraints):
             num = p.defect_order * forms[row, row]
             if num % d != 0 or num // d != want:

@@ -23,6 +23,7 @@ from blocksmith.casebook import (
     run_dimension,
     subsection_data,
 )
+from blocksmith.cli import EXIT_REGRESSION, dispatch
 
 from conftest import (
     conjugacy_class_count,
@@ -327,6 +328,54 @@ def test_realization_row_cannot_overturn_the_tree_step_or_the_screen(monkeypatch
         {"candidate": [[7, 2], [2, 3]], "computed_verdict": "excluded",
          "defect_group": "C17", "morita_class": "probe-excluded"},
     ]
+
+
+def realization_row_regressions(monkeypatch, dim, matrix, *, final_verdict, rule):
+    """A realization row for a candidate whose final verdict is not
+    ``realized`` is one regression naming that verdict and its rule; the
+    candidate keeps its verdict, the final table is the packaged one, and
+    the command exits with the regression code."""
+    packaged = run_dimension(dim)
+    probe = {"matrix": {"rows": matrix}, "defect_group": "C2",
+             "morita_class": "probe"}
+    with_realization_rows(monkeypatch, probe)
+    report = run_dimension(dim)
+    assert report.regressions == packaged.regressions + [
+        {"candidate": matrix, "final_verdict": final_verdict, "rule": rule,
+         "defect_group": "C2", "morita_class": "probe"}
+    ]
+    assert report.final_table == packaged.final_table
+    (cand,) = [c for c in report.candidates if c["matrix"] == matrix]
+    assert cand["verdict"] == final_verdict
+    assert dispatch(["casebook", "run", "--dim", str(dim)]) == EXIT_REGRESSION
+
+
+def test_realization_row_for_a_rule_excluded_candidate_is_a_regression(monkeypatch):
+    # det 16: no tree step; the rule d13-16b-excluded excludes it
+    realization_row_regressions(
+        monkeypatch, 13, [[5, 1, 1], [1, 2, 0], [1, 0, 2]],
+        final_verdict="excluded", rule="d13-16b-excluded",
+    )
+
+
+def test_realization_row_for_an_open_flagged_candidate_is_a_regression(monkeypatch):
+    # det 13: the tree step matches it, so with a row it would be realized,
+    # but the rule d15-13-flag leaves it open
+    realization_row_regressions(
+        monkeypatch, 15, [[5, 1, 1], [1, 2, 1], [1, 1, 2]],
+        final_verdict="open_flagged", rule="d15-13-flag",
+    )
+
+
+def test_realization_row_for_an_unresolved_candidate_is_a_regression(monkeypatch):
+    # det 8: no tree step and no rule gives it a verdict
+    realization_row_regressions(
+        monkeypatch, 15, [[4, 0, 2], [0, 3, 1], [2, 1, 2]],
+        final_verdict="unresolved", rule=None,
+    )
+    # rules given in place of the packaged ones leave candidates unresolved
+    # by design: their rows are not reported
+    assert run_dimension(15, rules=[]).regressions == []
 
 
 def test_tree_step_beyond_the_edge_bound_is_an_error(monkeypatch):

@@ -483,6 +483,27 @@ def test_verify_solution_rejects_wrong_answers():
 
     assert verify_solution(diag((13, 4, 5, 5, 5)), good)
     assert not verify_solution(diag((13, 5, 4, 5, 5)), good)
+    # the row table belongs to one problem: row (2,) is over the bound of
+    # [[4]] (r.adj.r^t = 4 = det) and within that of [[5]], so a verdict
+    # carried from one target to the other would show, in either order
+    for targets in ([[5]], [[4]]), ([[4]], [[5]]):
+        problems = [GramProblem(target_gram=M(t)) for t in targets]
+        for t, p in zip(targets, problems):
+            for rows in ([(2,), (1,)], [(2,)]):
+                assert verify_solution(p, GramSolution(q=M(rows))) == plain_verify(
+                    rows, t, naive_adjugate(t), naive_det(t)
+                )
+    # a row the pool never built: the zero row, allowed here
+    cl = c.to_lists()
+    for sign_mode in ("nonnegative", "signed"):
+        for nonzero in (False, True):
+            p = GramProblem(
+                target_gram=c, sign_mode=sign_mode, require_nonzero_rows=nonzero
+            )
+            assert verify_solution(p, padded) == plain_verify(
+                padded.q.rows, cl, naive_adjugate(cl), naive_det(cl),
+                signed=sign_mode == "signed", require_nonzero_rows=nonzero,
+            ) == (not nonzero)
 
 
 def test_input_validation():
