@@ -507,15 +507,15 @@ def run_dimension(n: int, rules: Sequence[CaseRule] | None = None) -> CaseReport
     candidate whose final verdict is anything but ``realized`` is a
     regression too, naming that verdict and the rule that gave it (None if
     none did): always when a rule gave it, and for ``unresolved`` when the
-    rules are the packaged set the realizations were written for. Rules
-    given in their place (a probe of one rule, say) leave the other
-    candidates unresolved by design, and their rows are not reported.
+    rules equal the packaged set the realizations were written for, however
+    they were passed. Other rules (a probe of one rule, say) leave the
+    other candidates unresolved by design, and their rows are not reported.
     """
     if n < 1:
         raise CasebookError("dimension must be positive")
-    packaged = rules is None
-    if packaged:
-        rules = load_rules(n)
+    packaged = load_rules(n)
+    rules = packaged if rules is None else list(rules)
+    rules_are_packaged = rules == packaged
     data = load_local_data()
 
     candidates: list[CartanCandidate] = []
@@ -639,7 +639,7 @@ def run_dimension(n: int, rules: Sequence[CaseRule] | None = None) -> CaseReport
                      "rule_verdict": verdict, "final_table_rows": 0}
                 )
             final_rows.extend(rows)
-        elif verdict is not None or packaged:
+        elif verdict is not None or rules_are_packaged:
             regressions.extend(
                 {"candidate": listed, "final_verdict": verdict or "unresolved",
                  "rule": verdict_rule, **row}

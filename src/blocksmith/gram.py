@@ -217,12 +217,13 @@ def row_forms(c: IntMatrix) -> RowForms:
 
 class _RowTable(dict):
     """The row table of one problem: row r -> the products r_i r_j over the
-    upper triangle (i <= j), row-major, or None when r breaks the row bound
-    r . adj(C) . r^t <= ``_quad_limit(det C)``. Each row is entered on its
-    first read, its products computed from r and r . adj . r^t read from
-    the (r, r) entry of ``forms``, which the pool build has filled for
-    every row of the box. Summed over the rows of Q, the products are the
-    upper triangle of Q^t Q."""
+    upper triangle (i <= j), row-major, or None when a nonzero r breaks the
+    row bound r . adj(C) . r^t <= ``_quad_limit(det C)``; the zero row
+    keeps no bound. Each row is entered on its first read, its products
+    computed from r and r . adj . r^t read from the (r, r) entry of
+    ``forms``, which the pool build has filled for every row of the box.
+    Summed over the rows of Q, the products are the upper triangle of
+    Q^t Q."""
 
     def __init__(self, forms: RowForms) -> None:
         super().__init__()
@@ -231,7 +232,7 @@ class _RowTable(dict):
         self.pick = _triangle_picks(forms.adj.col_count)
 
     def __missing__(self, row: Row) -> list[int] | None:
-        if self.forms[row, row] > self.limit:
+        if any(row) and self.forms[row, row] > self.limit:
             value = None
         else:
             left, right = self.pick
@@ -365,7 +366,7 @@ def _sign_classes(
     sign_free: Sequence[bool],
     patterns: Sequence[tuple[int, ...]],
     groups: Sequence[Sequence[int]],
-) -> Iterator[tuple[Row, ...]]:
+) -> list[tuple[Row, ...]]:
     """For each code, the largest form of its sign expansion of ``blocks``
     under the column negations ``patterns``: the codes of ``_class_codes``
     when every group is sign-free, and every code otherwise (see
@@ -384,9 +385,8 @@ def _sign_classes(
     pick's v repeated by its count, the blocks in group order; when the
     groups are not consecutive runs of indices, one fixed permutation puts
     each block on its group's indices. The form is the largest over the
-    patterns; with one pattern and the blocks already on their indices (a
-    connected signed free problem) it is the one tuple built, yielded as
-    it is.
+    patterns, taken per code across the patterns' lists of forms; with one
+    pattern that list is the answer.
     """
     mults: list[int] = []
     flips: list[int] = []
@@ -419,21 +419,16 @@ def _sign_classes(
         codes = _class_codes(flips)
     else:
         codes = itertools.product(*(range(m + 1) for m in flips))
-    if len(picks) == 1 and place is None:
-        # one pattern, blocks in index order: each expansion is its form
-        ((vs, ix),) = picks
-        for code in codes:
-            counts = list(chain(zip(map(sub, mults, code), code)))
-            yield tuple(chain(map(itertools.repeat, vs, map(counts.__getitem__, ix))))
-        return
-    for code in codes:
-        # copies of run t kept (slot 2t) and negated (slot 2t + 1)
-        counts = list(chain(zip(map(sub, mults, code), code)))
-        forms = [
-            tuple(chain(map(itertools.repeat, vs, map(counts.__getitem__, ix))))
-            for vs, ix in picks
-        ]
-        yield max(forms if place is None else map(place, forms))
+    # per code, the copies of run t kept (slot 2t) and negated (slot 2t + 1)
+    slots = [list(chain(zip(map(sub, mults, code), code))) for code in codes]
+    # per pattern, the form of each code's expansion under it
+    forms = [
+        [tuple(chain(map(itertools.repeat, vs, map(counts.__getitem__, ix)))) for counts in slots]
+        for vs, ix in picks
+    ]
+    if place is not None:
+        forms = [list(map(place, f)) for f in forms]
+    return forms[0] if len(forms) == 1 else list(map(max, *forms))
 
 
 def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
@@ -483,11 +478,11 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
       returns one of X and X', so each code j of X is used, and together
       they meet every class.
 
-    The last two cases keep one dedupe dict, as a class can be met more
-    than once there: through two codes of an X that some S other than +-I
-    maps to itself, or of an X equal to its X'. An unsigned pinned problem
-    of several groups (one pattern, one code per find) goes through the
-    same loop.
+    The forms are listed in the order found. The last two cases drop the
+    repeats with one dedupe dict, as a class can be met more than once
+    there: through two codes of an X that some S other than +-I maps to
+    itself, or of an X equal to its X'. An unsigned pinned problem of
+    several groups (one pattern, one code per find) is deduplicated too.
 
     An unsigned single group has one pattern and nothing to negate, so its
     sequence is its own form. With zero rows allowed, a free row-count
@@ -550,20 +545,15 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
             image += sorted((max(v, tuple(-x for x in v)) for v in vs), reverse=True)
         return image
 
-    if len(patterns) == 1 and len(groups) == 1:
-        return [
-            form
-            for rows in found
-            for fill in fills(len(rows))
-            for form in _sign_classes([rows + fill], sign_free, patterns, groups)
-        ]
-    out: dict[tuple[Row, ...], None] = {}
-    for rows in found:
-        if orbit and list(rows) != max(rep_image(pat, split(rows)) for pat in patterns):
-            continue
-        for fill in fills(len(rows)):
-            out.update(dict.fromkeys(_sign_classes(split(rows + fill), sign_free, patterns, groups)))
-    return list(out)
+    forms = [
+        form
+        for rows in found
+        if not orbit or list(rows) == max(rep_image(pat, split(rows)) for pat in patterns)
+        for fill in fills(len(rows))
+        for form in _sign_classes(split(rows + fill), sign_free, patterns, groups)
+    ]
+    # with one pattern and one group no form repeats (see above)
+    return forms if len(patterns) == 1 and len(groups) == 1 else list(dict.fromkeys(forms))
 
 
 def _arrangements(rep: Sequence[int]) -> list[tuple[int, ...]]:
@@ -681,13 +671,9 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
         return False
     if upper is None:
         return False
-    products = list(map(table.__getitem__, rows))
-    if None in products:
-        return False
-    # once C = C^t, the upper triangle of Q^t Q settles Q^t Q = C
-    if list(map(sum, zip(*products))) != upper:
-        return False
-    if not p.signed and min(map(min, rows)) < 0:
+    # the sign and zero-row checks first, so a row they reject never
+    # enters the row table
+    if not p.signed and n and min(map(min, rows)) < 0:
         return False
     if not p.zero_rows:
         if p.require_nonzero_rows and not all(map(any, rows)):
@@ -699,6 +685,12 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
                 return False
             if not forced_zero and p.require_nonzero_rows and not any(row):
                 return False
+    products = list(map(table.__getitem__, rows))
+    if None in products:
+        return False
+    # once C = C^t, the upper triangle of Q^t Q settles Q^t Q = C
+    if list(map(sum, zip(*products))) != upper:
+        return False
     if fixed_cols:
         cols = list(zip(*rows))
         if block_rows != {n} or any(

@@ -2,6 +2,7 @@
 and full per-dimension replays."""
 
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -376,6 +377,28 @@ def test_realization_row_for_an_unresolved_candidate_is_a_regression(monkeypatch
     # rules given in place of the packaged ones leave candidates unresolved
     # by design: their rows are not reported
     assert run_dimension(15, rules=[]).regressions == []
+
+
+def test_unresolved_row_is_reported_however_the_packaged_rules_are_passed(
+    monkeypatch, tmp_path
+):
+    """Whether an unresolved candidate's row is a regression depends on
+    what the rules are, not on how they were passed: the packaged rules
+    given explicitly, or as a copy of the packaged file to ``--rules``,
+    report it as rules=None does."""
+    matrix = [[4, 0, 2], [0, 3, 1], [2, 1, 2]]
+    with_realization_rows(
+        monkeypatch,
+        {"matrix": {"rows": matrix}, "defect_group": "C2", "morita_class": "probe"},
+    )
+    expected = run_dimension(15).regressions
+    assert [r["candidate"] for r in expected] == [matrix]
+    assert run_dimension(15, rules=load_rules(15)).regressions == expected
+    copy = tmp_path / "rules.json"
+    packaged = resources.files("blocksmith").joinpath("data/rules_dim15.json")
+    copy.write_text(packaged.read_text(encoding="utf-8"), encoding="utf-8")
+    code = dispatch(["casebook", "run", "--dim", "15", "--rules", str(copy)])
+    assert code == EXIT_REGRESSION
 
 
 def test_tree_step_beyond_the_edge_bound_is_an_error(monkeypatch):

@@ -504,6 +504,18 @@ def test_verify_solution_rejects_wrong_answers():
                 padded.q.rows, cl, naive_adjugate(cl), naive_det(cl),
                 signed=sign_mode == "signed", require_nonzero_rows=nonzero,
             ) == (not nonzero)
+    # the zero row keeps no row bound, even where det C <= 0 leaves no
+    # nonzero row within it
+    for t in ([[0]], [[0, 0], [0, 0]]):
+        zeros = [(0,) * len(t)]
+        p = GramProblem(target_gram=M(t), require_nonzero_rows=False)
+        assert verify_solution(p, GramSolution(q=M(zeros))) == plain_verify(
+            zeros, t, naive_adjugate(t), naive_det(t), require_nonzero_rows=False
+        ) is True
+    # a row the sign check rejects never enters the problem's row table
+    p = GramProblem(target_gram=c)
+    assert not verify_solution(p, negative)
+    assert (-1, 0) not in p._checks[4]
 
 
 def test_input_validation():
