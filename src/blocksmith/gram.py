@@ -18,15 +18,19 @@ kernel. A group whose rows may change sign freely (signed, with no
 fixed-block entries) is searched over sign representatives only, rows
 r >= 0, and the classes are built from each sequence X the kernel finds
 directly, one canonical form per class code, without expanding every sign
-choice of X and deduplicating; a solve with one group and one sign pattern
-(every connected signed free target) lists the forms with no dedupe at
-all. ``verify_solution`` re-checks every returned solution from its rows;
-what it needs of the problem alone (the upper triangle of C, the allowed
-row counts, the fixed-block columns and a row table) is built once per
-problem and cached on it. The row table (``_RowTable``) holds, per row
-read, its upper-triangle products and whether it keeps the row bound, so
-Q^t Q = C is the column sums of the rows' products and each row costs one
-lookup. The solution list is ordered by (row count, repr of the rows)
+choice of X. Two rules name the classes: codes j <= m - j when every
+group is sign-free, with -I dropped from the patterns for one group, and
+every code otherwise; the repeats go through one dedupe dict, which a
+solve with one group and one sign pattern left (every connected signed
+free target) skips, as no form repeats there. ``verify_solution``
+re-checks every returned solution from its rows, and refuses a malformed
+problem as ``solve`` does; what it needs of the problem alone (the
+upper triangle of C, the allowed row counts, the fixed-block columns and
+a row table) is built once per problem, after its validation, and cached
+on it. The row table (``_RowTable``) holds, per row read, its
+upper-triangle products and whether it keeps the row bound, so Q^t Q = C
+is the column sums of the rows' products and each row costs one lookup.
+The solution list is ordered by (row count, repr of the rows)
 through ranks of the distinct rows, with no repr per solution
 (``_sort_forms``).
 
@@ -149,30 +153,22 @@ class GramProblem:
                 raise GramInputError("row_count conflicts with pinned inputs")
 
     @cached_property
-    def _checks(
-        self,
-    ) -> tuple[list[int] | None, range | None, set[int], list[Row], _RowTable | None]:
-        """What ``verify_solution`` reads from the problem alone, built on
-        its first call: the upper triangle of C, row-major (None when C is
-        not symmetric, as then no Q has Q^t Q = C), the allowed row counts
-        (None for any), the row counts of the fixed blocks and their
-        columns, side by side, and the problem's row table (None with the
-        upper triangle, which ``verify_solution`` checks first). A cached
-        property is not a field, so equality and the hash stay those of the
-        fields."""
+    def _checks(self) -> tuple[list[int], range | None, list[Row], _RowTable]:
+        """The problem, validated (``validate`` raises GramInputError for
+        a malformed one, so ``solve`` and ``verify_solution`` refuse the
+        same problems), and what ``verify_solution`` reads from it alone,
+        built on its first call: the upper triangle of C, row-major, the
+        allowed row counts (None for any), the columns of the fixed blocks,
+        side by side, and the problem's row table. A cached property is not
+        a field, so equality and the hash stay those of the fields."""
+        self.validate()
         c = self.target_gram
-        upper = [x for i, row in enumerate(c.rows) for x in row[i:]] if c.is_symmetric else None
+        upper = [x for i, row in enumerate(c.rows) for x in row[i:]]
         k = self.pinned_row_count()
-        window = self.row_window()
-        if k is not None:
-            lo, hi = window or (k, k)
-            counts = range(k, k + 1) if lo <= k <= hi else range(0)
-        else:
-            counts = None if window is None else range(window[0], window[1] + 1)
-        block_rows = {b.row_count for b in self.fixed_blocks}
+        window = self.row_window() if k is None else (k, k)
+        counts = None if window is None else range(window[0], window[1] + 1)
         fixed_cols = [col for b in self.fixed_blocks for col in zip(*b.rows)]
-        table = None if upper is None else _RowTable(row_forms(self.target_gram))
-        return upper, counts, block_rows, fixed_cols, table
+        return upper, counts, fixed_cols, _RowTable(row_forms(c))
 
 
 @dataclass(frozen=True)
@@ -217,11 +213,12 @@ def row_forms(c: IntMatrix) -> RowForms:
 
 class _RowTable(dict):
     """The row table of one problem: row r -> the products r_i r_j over the
-    upper triangle (i <= j), row-major, or None when a nonzero r breaks the
-    row bound r . adj(C) . r^t <= ``_quad_limit(det C)``; the zero row
-    keeps no bound. Each row is entered on its first read, its products
-    computed from r and r . adj . r^t read from the (r, r) entry of
-    ``forms``, which the pool build has filled for every row of the box.
+    upper triangle (i <= j), row-major, or None when r breaks the row bound
+    r . adj(C) . r^t <= ``_quad_limit(det C)``, which the zero row keeps
+    for every positive definite C. Each row is entered on its first read,
+    its products computed from r and r . adj . r^t read from the (r, r)
+    entry of ``forms``, which the pool build has filled for every row of
+    the box.
     Summed over the rows of Q, the products are the upper triangle of
     Q^t Q."""
 
@@ -232,7 +229,7 @@ class _RowTable(dict):
         self.pick = _triangle_picks(forms.adj.col_count)
 
     def __missing__(self, row: Row) -> list[int] | None:
-        if any(row) and self.forms[row, row] > self.limit:
+        if self.forms[row, row] > self.limit:
             value = None
         else:
             left, right = self.pick
@@ -279,7 +276,7 @@ def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:
 
 def _sign_patterns(c: IntMatrix) -> list[tuple[int, ...]]:
     """Column negations S with S C S = C: one sign per connected component,
-    the identity first."""
+    the identity first and -I last."""
     comps = components(c.rows)
     where = [0] * c.row_count  # the component of each index
     for t, comp in enumerate(comps):
@@ -304,7 +301,7 @@ def solve(p: GramProblem) -> list[GramSolution]:
     GramInputError when the problem statement is malformed. Every returned
     solution passes ``verify_solution``; InvariantError is raised otherwise.
     """
-    p.validate()
+    p._checks  # validates the problem
     canon = _canonical_forms(p)
     _sort_forms(canon)
     # rows of the integer row pool, negated or zero: ints by construction
@@ -455,34 +452,29 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
     of the sign-free groups negated; together they are exactly the
     sequences a search over both signs finds. The solutions are the
     classes of expansions under the column-sign patterns S, each named by
-    its largest form, and ``_sign_classes`` builds them per code j. These
+    its largest form, and ``_sign_classes`` builds them per code j. Two
     rules are exact:
 
-    - One group, all sign-free, C connected (patterns +-I): -I keeps X and
-      maps code j to m - j, so each code is one class of X, and the
-      identity's form is the larger (at the first run where j and m - j
-      differ it keeps more positive copies); only the identity and the
-      codes j <= m - j of ``_class_codes`` are used. No form repeats, so
-      the forms are listed as built, with no dedupe dict: two codes of one
-      X are two classes; distinct finds are distinct multisets of sign
-      representatives, which every expansion of a find keeps; and the
-      fills of one find differ in length.
-    - More than two patterns, every group sign-free: S maps the expansions
-      of X one to one onto those of rep(S X), the sign representatives of
-      its rows sorted per group, so every class meets the expansions of
-      each X of its orbit; only the largest X of each orbit is used, and
-      -I, which keeps X, again makes the codes j <= m - j meet every class.
+    - Every group sign-free: -I keeps X and maps code j to m - j, so only
+      the codes j <= m - j of ``_class_codes`` are used. With one group,
+      the -I form of such a j is the identity form of m - j, which is the
+      smaller (at the first run where j and m - j differ the identity keeps
+      more positive copies of j), so -I, the last pattern, is dropped.
     - Some group not sign-free: -I maps the expansion of X with code j onto
       that of X' with code m - j, where X' is X with the rows of those
       groups negated. Their runs are the ones the kernel negates, and it
       returns one of X and X', so each code j of X is used, and together
       they meet every class.
 
-    The forms are listed in the order found. The last two cases drop the
-    repeats with one dedupe dict, as a class can be met more than once
-    there: through two codes of an X that some S other than +-I maps to
-    itself, or of an X equal to its X'. An unsigned pinned problem of
-    several groups (one pattern, one code per find) is deduplicated too.
+    The forms are listed in the order found, and one dedupe dict drops the
+    repeats: a pattern other than +-I can map an X onto another find or
+    onto itself, and an X can equal its X'. A connected C with one
+    sign-free group (one pattern left after the drop) skips the dict, as
+    no form repeats there: two codes of one X are two classes; distinct
+    finds are distinct multisets of sign representatives, which every
+    expansion of a find keeps; and the fills of one find differ in length.
+    An unsigned pinned problem of several groups (one pattern, one code per
+    find) is deduplicated too.
 
     An unsigned single group has one pattern and nothing to negate, so its
     sequence is its own form. With zero rows allowed, a free row-count
@@ -526,9 +518,8 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
     if not p.signed and len(groups) == 1:
         return [rows + fill for rows in found for fill in fills(len(rows))]
     patterns = _sign_patterns(c) if p.signed else [(1,) * l]
-    orbit = len(patterns) > 2 and all(sign_free)
-    if len(patterns) == 2 and len(groups) == 1 and sign_free[0]:
-        patterns = patterns[:1]
+    if len(groups) == 1 and sign_free[0]:
+        patterns = patterns[:-1]  # -I, the last (see above)
     spans = list(itertools.accumulate(map(len, groups), initial=0))
 
     def split(rows: tuple[Row, ...]) -> list[tuple[Row, ...]]:
@@ -536,19 +527,9 @@ def _canonical_forms(p: GramProblem) -> list[tuple[Row, ...]]:
             return [rows]
         return [rows[a:b] for a, b in itertools.pairwise(spans)]
 
-    def rep_image(pat: tuple[int, ...], blocks: list[tuple[Row, ...]]) -> list[Row]:
-        """rep(S X): each row of S X replaced by the larger of it and its
-        negation (its sign representative), sorted decreasing per group."""
-        image: list[Row] = []
-        for block in blocks:
-            vs = (tuple(map(mul, pat, r)) for r in block)
-            image += sorted((max(v, tuple(-x for x in v)) for v in vs), reverse=True)
-        return image
-
     forms = [
         form
         for rows in found
-        if not orbit or list(rows) == max(rep_image(pat, split(rows)) for pat in patterns)
         for fill in fills(len(rows))
         for form in _sign_classes(split(rows + fill), sign_free, patterns, groups)
     ]
@@ -647,12 +628,14 @@ def solve_orthogonal_column(
 
 def verify_solution(p: GramProblem, s: GramSolution) -> bool:
     """Re-derive every constraint of the problem from the rows of Q: the
-    row counts, Q^t Q = C (a symmetric C, compared on its upper triangle),
-    the signs, each row's bound and zero-row flag, B^t Q = 0 for each fixed
-    block B and the contribution diagonal. No intermediate matrix is built.
-    What depends on the problem alone (the symmetry and upper triangle of
-    C, the allowed row counts, the fixed-block columns, the row table) is
-    built once per problem, ``GramProblem._checks``. The row table
+    row counts, Q^t Q = C (compared on the upper triangle of C), the signs,
+    each row's bound and zero-row flag, B^t Q = 0 for each fixed block B
+    and the contribution diagonal. No intermediate matrix is built. A
+    malformed problem is refused as ``solve`` does, with the GramInputError
+    of ``GramProblem.validate``, whatever the solution. What depends on the
+    problem alone (the upper triangle of C, the allowed row counts, the
+    fixed-block columns, the row table) is built once per problem, after
+    its validation, ``GramProblem._checks``. The row table
     (``_RowTable``) lives on the problem, as its bound and r . adj . r^t
     belong to C: one lookup per row gives the row's upper-triangle products,
     whose column sums are the upper triangle of Q^t Q, or None for a row
@@ -660,16 +643,13 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
     the contribution diagonal reads r . adj . r^t from the ``row_forms``
     entry of C; in a free solve the pool build has already filled every
     entry read."""
+    upper, counts, fixed_cols, table = p._checks
     q = s.q
-    c = p.target_gram
-    if q.col_count != c.col_count:
+    if q.col_count != p.target_gram.col_count:
         raise MatrixError("solution has wrong column count")
     rows = q.rows
     n = len(rows)
-    upper, counts, block_rows, fixed_cols, table = p._checks
     if counts is not None and n not in counts:
-        return False
-    if upper is None:
         return False
     # the sign and zero-row checks first, so a row they reject never
     # enters the row table
@@ -688,14 +668,12 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
     products = list(map(table.__getitem__, rows))
     if None in products:
         return False
-    # once C = C^t, the upper triangle of Q^t Q settles Q^t Q = C
+    # C = C^t, so the upper triangle of Q^t Q settles Q^t Q = C
     if list(map(sum, zip(*products))) != upper:
         return False
     if fixed_cols:
         cols = list(zip(*rows))
-        if block_rows != {n} or any(
-            sum(map(mul, u, v)) for u in fixed_cols for v in cols
-        ):
+        if any(sum(map(mul, u, v)) for u in fixed_cols for v in cols):
             return False
     if p.diag_constraints is not None:
         forms = table.forms

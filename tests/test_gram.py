@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -184,8 +185,9 @@ def test_sign_dedup_uses_components():
 @given(st.data())
 def test_sign_patterns_are_the_column_negations_fixing_c(data):
     """``_sign_patterns(C)`` is, as a set and without repeats, every
-    S in {+-1}^l with S C S = C, the identity first: random symmetric C
-    with l <= 6, half of them cut into zero blocks by a label per index."""
+    S in {+-1}^l with S C S = C, the identity first and -I last: random
+    symmetric C with l <= 6, half of them cut into zero blocks by a label
+    per index."""
     l = data.draw(st.integers(1, 6))
     rows = [[0] * l for _ in range(l)]
     labels = data.draw(st.lists(st.integers(0, 2), min_size=l, max_size=l))
@@ -202,6 +204,7 @@ def test_sign_patterns_are_the_column_negations_fixing_c(data):
         if all(s[i] * x * s[j] == x for i, row in enumerate(rows) for j, x in enumerate(row))
     }
     assert patterns[0] == (1,) * l
+    assert patterns[-1] == (-1,) * l
     assert len(patterns) == len(set(patterns))
     assert set(patterns) == brute
 
@@ -504,18 +507,44 @@ def test_verify_solution_rejects_wrong_answers():
                 padded.q.rows, cl, naive_adjugate(cl), naive_det(cl),
                 signed=sign_mode == "signed", require_nonzero_rows=nonzero,
             ) == (not nonzero)
-    # the zero row keeps no row bound, even where det C <= 0 leaves no
-    # nonzero row within it
+    # a target that is not positive definite is refused, as solve does
     for t in ([[0]], [[0, 0], [0, 0]]):
         zeros = [(0,) * len(t)]
         p = GramProblem(target_gram=M(t), require_nonzero_rows=False)
-        assert verify_solution(p, GramSolution(q=M(zeros))) == plain_verify(
-            zeros, t, naive_adjugate(t), naive_det(t), require_nonzero_rows=False
-        ) is True
+        with pytest.raises(GramInputError, match="positive definite"):
+            verify_solution(p, GramSolution(q=M(zeros)))
     # a row the sign check rejects never enters the problem's row table
     p = GramProblem(target_gram=c)
     assert not verify_solution(p, negative)
-    assert (-1, 0) not in p._checks[4]
+    assert (-1, 0) not in p._checks[3]
+
+
+def test_verify_solution_refuses_malformed_problems():
+    """``verify_solution`` refuses each problem ``solve`` refuses, with the
+    message of ``validate``, also where the solution would meet every
+    constraint it can read."""
+    c = M([[5, 2], [2, 4]])
+    good = solve(GramProblem(target_gram=c))[0]
+    assert good.q.rows == ((2, 1), (1, 0), (0, 1), (0, 1), (0, 1))
+    orthogonal = (M([[0], [0], [1], [-1], [0]]),)
+    malformed = [
+        # a diagonal constraint shorter than the 5 fixed rows
+        GramProblem(
+            target_gram=c, fixed_blocks=orthogonal, diag_constraints=(13, 4), defect_order=16
+        ),
+        GramProblem(target_gram=c, row_count=5, zero_rows=frozenset({7})),
+        GramProblem(target_gram=c, sign_mode="odd"),
+        GramProblem(target_gram=c, defect_order=0),
+        GramProblem(target_gram=c, diag_constraints=(13, 4, 5, 5, 5)),
+    ]
+    for p in malformed:
+        with pytest.raises(GramInputError) as refused:
+            p.validate()
+        message = re.escape(str(refused.value))
+        with pytest.raises(GramInputError, match=f"^{message}$"):
+            solve(p)
+        with pytest.raises(GramInputError, match=f"^{message}$"):
+            verify_solution(p, good)
 
 
 def test_input_validation():
@@ -760,7 +789,8 @@ def test_row_form_readers_match_plain_products(targets, data):
                         skew = [list(r) for r in c]
                         skew[1][0] += 1
                         bad = GramProblem(target_gram=M(skew), sign_mode=p.sign_mode)
-                        assert not verify_solution(bad, s)
+                        with pytest.raises(GramInputError, match="symmetric"):
+                            verify_solution(bad, s)
 
 
 # Row-form evaluations of the signed solve of the criterion-8a target: the
@@ -952,6 +982,27 @@ def test_no_private_name_goes_unreferenced_in_the_package():
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert "_row_pool" in private
     assert sorted(private - read) == []
+    # a function or class defined inside a function must be read there
+    unread = []
+    nested = 0
+    for tree in trees:
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {
+                node.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for node in ast.walk(func):
+                if node is not func and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    nested += 1
+                    if node.name not in names:
+                        unread.append(f"{func.name}.{node.name}")
+    assert nested >= 5
+    assert unread == []
 
 
 def test_invariant_checks_run_under_optimize():

@@ -14,6 +14,7 @@ from blocksmith.gram import (
     GramProblem,
     _class_codes,
     _row_pool,
+    _sign_patterns,
     row_quad,
     solve,
     solve_orthogonal_column,
@@ -118,6 +119,35 @@ def test_sign_classes_match_expanding_solve_on_8a_target():
     )
     got = solved_rows(problem)
     assert len(got) == 28306
+    assert got == expanding_solve(problem)
+
+
+# Disconnected targets of signed free problems, with their number of
+# column-sign patterns and a row count that has solutions: one sign-free
+# group, so -I is dropped from the patterns and the forms go through the
+# dedupe dict.
+DISCONNECTED_TARGETS = [
+    ([[3, 1, 0], [1, 2, 0], [0, 0, 4]], 4, 6),
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 8, 8),
+    ([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 2]], 8, 6),
+]
+
+
+@pytest.mark.parametrize("row_count", ["none", "exact", "window"])
+@pytest.mark.parametrize("target, patterns, exact", DISCONNECTED_TARGETS)
+def test_sign_classes_match_expanding_solve_on_disconnected_targets(
+    target, patterns, exact, row_count
+):
+    c = IntMatrix.from_rows(target)
+    assert len(_sign_patterns(c)) == patterns
+    problem = GramProblem(
+        target_gram=c,
+        sign_mode="signed",
+        row_count={"none": None, "exact": exact, "window": (2, c.trace())}[row_count],
+        require_nonzero_rows=row_count != "window",
+    )
+    got = solved_rows(problem)
+    assert got
     assert got == expanding_solve(problem)
 
 
