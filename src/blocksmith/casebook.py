@@ -1,20 +1,24 @@
 """Declarative replay of per-dimension case analyses.
 
-For each entry sum the engine enumerates candidates, applies the arithmetic
-feasibility screen, routes prime-determinant candidates through the Brauer
-tree classification, and then executes a per-candidate rule chain loaded
-from a data file. The rules of every candidate run, whatever the screen
-said. Computational rules (solver runs, congruences, counting checks) are
-executed; external_citation rules only record a statement. Every candidate
-ends with exactly one terminal verdict from
-{realized, excluded, infeasible, open_flagged, unresolved}.
+For each entry sum the engine enumerates candidates and gives each one to
+``_computed``, which applies the arithmetic feasibility screen and routes a
+candidate with defect group C_p through the Brauer tree classification. It
+then executes a per-candidate rule chain loaded from a data file. The rules
+of every candidate run, whatever the screen said. Computational rules
+(solver runs, congruences, counting checks) are executed; external_citation
+rules only record a statement. Every candidate ends with exactly one
+terminal verdict from {realized, excluded, infeasible, open_flagged,
+unresolved}.
 
-The screen's ``infeasible`` and the tree step's ``excluded`` are final: a
-rule verdict that differs, and a realization row for such a candidate, are
-regressions. So is a realization row for a candidate that a rule gives
-another final verdict, or that the packaged rules leave unresolved. A
-``CaseRule`` is checked against the rule schema when it is built, so a
-rule made in Python is refused exactly as a rule file is.
+The verdicts of ``_computed``, the screen's ``infeasible`` and the tree
+step's ``excluded``, are final: a rule verdict that differs, and a
+realization row for such a candidate, are regressions. A candidate that a
+Brauer tree matches and that has a realization row is ``realized`` unless
+a rule gives it a verdict. A realization row for a candidate that a rule
+gives another final verdict, or that the packaged rules leave unresolved,
+is a regression. Every field of a ``CaseRule`` is checked against the rule
+schema when it is built, so a rule made in Python is refused exactly as a
+rule file is, and rule ids must be unique within a run.
 """
 
 from __future__ import annotations
@@ -38,26 +42,34 @@ from .contrib import contribution_matrix, heights_from_contribution
 from .gram import GramProblem, GramSolution, row_forms, solve, solve_orthogonal_column
 from .intmat import IntMatrix, matrix_from_obj, p_adic_valuation
 
-# Rule schema. A field holds an int, bool or str (exactly that type), a
-# list[int] or list[str], a matrix (IntMatrix), anything (object), a row count
-# (_ROW_COUNT) or a nested object given as (fields, required keys).
+# Rule schema. A field holds an int, bool, str or IntMatrix (exactly that
+# type), a list[int], list[str] or tuple[str, ...], a matrix given as JSON
+# (_MATRIX), anything (object), a row count (_ROW_COUNT) or a nested object
+# given as (fields, required keys).
+_MATRIX = "a matrix"
 _ROW_COUNT = "an integer or [low, high]"
-_NAMES = {int: "an integer", bool: "a boolean", str: "a string", dict: "a JSON object"}
+_NAMES = {int: "an integer", bool: "a boolean", str: "a string", dict: "a JSON object",
+          IntMatrix: "an IntMatrix"}
 _REF = ({"rule": str, "row_count": int}, {"rule"})
-_RULE = (
-    {"id": str, "candidate": IntMatrix, "kind": str, "params": dict, "citation": str,
-     "expected_outcome": object, "verdict": str, "requires_data": list[str]},
-    {"id", "candidate", "kind"},
+# the fields of a CaseRule; those not required may be None
+_FIELDS = (
+    {"rule_id": str, "candidate": IntMatrix, "kind": str, "params": dict,
+     "expected_outcome": object, "citation": str, "verdict": str,
+     "requires_data": tuple[str, ...]},
+    {"rule_id", "candidate", "kind", "params", "requires_data"},
 )
+# a rule in a rules file: the fields of a CaseRule, the rule_id under the key "id"
+_KEYS = (dict.fromkeys(_FIELDS[0].keys() - {"rule_id"} | {"id"}, object),
+         {"id", "candidate", "kind"})
 # the params each kind reads; a solver_run with "orthogonal" reads nothing else
 _ORTHOGONAL = ({"orthogonal": (
-    {"gram_value": int, "q1_from": _REF, "q1": IntMatrix, "signed": bool,
+    {"gram_value": int, "q1_from": _REF, "q1": _MATRIX, "signed": bool,
      "zero_rows": list[int]},
     {"gram_value"},
 )}, {"orthogonal"})
 _PARAMS = {
     "solver_run": ({
-        "gram": IntMatrix, "gram_from_data": str, "fixed_from": _REF,
+        "gram": _MATRIX, "gram_from_data": str, "fixed_from": _REF,
         "row_count": _ROW_COUNT, "sign_mode": str, "require_nonzero_rows": bool,
         "zero_rows": list[int], "contribution": bool, "defect_order": int, "p": int,
         "k_minus_l": bool, "valuation_filter": (
@@ -112,13 +124,15 @@ class CaseRule:
     requires_data: tuple[str, ...] = ()
 
     def __post_init__(self):
+        where = f"rule {self.rule_id}"
+        _check({k: v for k, v in vars(self).items() if v is not None}, _FIELDS, where)
         if self.kind not in RULE_KINDS:
             raise CasebookError(f"unknown rule kind {self.kind!r}")
         if self.kind == "external_citation" and not self.citation:
             raise CasebookError("external_citation rules must carry a citation")
         if self.verdict is not None and self.verdict not in VERDICTS:
             raise CasebookError(f"unknown verdict {self.verdict!r}")
-        _check_params(self.kind, self.params, f"rule {self.rule_id} params")
+        _check_params(self.kind, self.params, f"{where} params")
 
 
 @dataclass
@@ -216,6 +230,14 @@ def load_rules(dimension: int) -> list[CaseRule]:
         raw = _load_json(f"rules_dim{dimension}.json")
     except FileNotFoundError:
         return []
+    return read_rules(raw, f"rules_dim{dimension}.json")
+
+
+def read_rules(raw: Any, source: str) -> list[CaseRule]:
+    """The rules of a rules file, given as its parsed JSON; ``source`` names
+    the file in the error for a value that is not a list."""
+    if not isinstance(raw, list):
+        raise CasebookError(f"{source}: rules file must hold a JSON list of rules")
     return [_rule_from_obj(obj) for obj in raw]
 
 
@@ -223,13 +245,14 @@ def _is(value: Any, kind: Any) -> bool:
     if kind is _ROW_COUNT:
         return type(value) is int or _is(value, list[int]) and len(value) == 2
     if isinstance(kind, GenericAlias):
-        return isinstance(value, list) and all(_is(x, kind.__args__[0]) for x in value)
+        item = kind.__args__[0]
+        return isinstance(value, kind.__origin__) and all(_is(x, item) for x in value)
     return kind is object or type(value) is kind
 
 
 def _check(value: Any, kind: Any, where: str) -> None:
     """Raise CasebookError unless value matches the schema kind."""
-    if kind is IntMatrix:
+    if kind is _MATRIX:
         matrix_from_obj(value)
     elif isinstance(kind, tuple):
         fields, required = kind
@@ -269,19 +292,16 @@ def _check_params(kind: str, params: dict, where: str) -> None:
 
 
 def _rule_from_obj(obj: Any) -> CaseRule:
-    """A rule from its JSON object, checked against the schema above."""
+    """A rule from its JSON object. Its keys map to the fields of CaseRule,
+    which checks them, so a null expected_outcome, citation or verdict
+    counts as absent."""
     where = f"rule {obj.get('id', obj) if isinstance(obj, dict) else obj!r}"
-    _check(obj, _RULE, where)
-    return CaseRule(
-        rule_id=obj["id"],
-        candidate=matrix_from_obj(obj["candidate"]),
-        kind=obj["kind"],
-        params=obj.get("params", {}),
-        expected_outcome=obj.get("expected_outcome"),
-        citation=obj.get("citation"),
-        verdict=obj.get("verdict"),
-        requires_data=tuple(obj.get("requires_data", ())),
-    )
+    _check(obj, _KEYS, where)
+    fields = {"rule_id" if k == "id" else k: v for k, v in obj.items()}
+    fields["candidate"] = matrix_from_obj(obj["candidate"])
+    if type(fields.get("requires_data")) is list:
+        fields["requires_data"] = tuple(fields["requires_data"])
+    return CaseRule(**fields)
 
 
 def det25_decomposition(
@@ -493,29 +513,68 @@ class _Engine:
         return outcome
 
 
+def _computed(
+    cand: CartanCandidate, tree_matches: dict[IntMatrix, brauer.DefectOneMatch]
+) -> tuple[list[dict], str | None, bool]:
+    """The verdicts the program computes itself, which nothing may overturn.
+
+    Runs the screen and, for a candidate of cyclic defect group C_p, the
+    tree step. Returns their trail entries, the final verdict (the screen's
+    ``infeasible``, the tree step's ``excluded``, or None) and whether a
+    Brauer tree matched the candidate.
+    """
+    feas = filter_block_feasible(cand)
+    trail = [{"rule": "auto:feasibility", "kind": "feasibility", "outcome": feas.to_obj()}]
+    if not feas.feasible:
+        return trail, "infeasible", False
+    if feas.defect_order != feas.p:
+        return trail, None, False
+    # a missing match excludes the candidate only if trees with l edges were
+    # enumerated
+    if cand.l > brauer.EDGE_BOUND:
+        raise CasebookError(
+            f"candidate {cand.matrix.to_lists()} needs trees with {cand.l} "
+            f"edges, beyond the bound {brauer.EDGE_BOUND}"
+        )
+    match = tree_matches.get(cand.matrix)
+    outcome: dict = {"matched": match is not None}
+    if match is not None:
+        outcome.update(shape=match.shape, multiplicity=match.multiplicity, p=match.p)
+    trail.append({"rule": "auto:tree_resolution", "kind": "tree_resolution",
+                  "outcome": outcome})
+    return trail, "excluded" if match is None else None, match is not None
+
+
 def run_dimension(n: int, rules: Sequence[CaseRule] | None = None) -> CaseReport:
     """Enumerate, screen, and resolve every candidate of entry sum n.
 
     With rules=None the packaged rule set for n is loaded (empty for
     dimensions without one). A rule or realization row naming a candidate
-    that enumeration does not produce is an error: it signals drift between
-    the data files and the enumeration. Every candidate's rules run, whatever
-    the screen said. The screen's ``infeasible`` and the tree step's
-    ``excluded`` are final: a rule whose verdict differs, and a realization
+    that enumeration does not produce is an error, since it signals drift
+    between the data files and the enumeration, and so is a repeated rule
+    id. Every candidate's rules run, whatever the screen said. The verdicts
+    of ``_computed``, the screen's ``infeasible`` and the tree step's
+    ``excluded``, are final: a rule whose verdict differs, and a realization
     row for such a candidate, are reported as regressions, and so is a
-    ``realized`` verdict with no realization row. A realization row for a
-    candidate whose final verdict is anything but ``realized`` is a
-    regression too, naming that verdict and the rule that gave it (None if
-    none did): always when a rule gave it, and for ``unresolved`` when the
-    rules equal the packaged set the realizations were written for, however
-    they were passed. Other rules (a probe of one rule, say) leave the
-    other candidates unresolved by design, and their rows are not reported.
+    ``realized`` verdict with no realization row. A candidate that a Brauer
+    tree matches and that has a realization row is ``realized`` unless a
+    rule gives it a verdict. A realization row for a candidate whose final
+    verdict is anything but ``realized`` is a regression too, naming that
+    verdict and the rule that gave it (None if none did): always when a
+    rule gave it, and for ``unresolved`` when the rules equal the packaged
+    set the realizations were written for, however they were passed. Other
+    rules (a probe of one rule, say) leave the other candidates unresolved
+    by design, and their rows are not reported.
     """
     if n < 1:
         raise CasebookError("dimension must be positive")
     packaged = load_rules(n)
     rules = packaged if rules is None else list(rules)
     rules_are_packaged = rules == packaged
+    # the engine stores a rule's solutions under its id for later rules to read
+    ids = [rule.rule_id for rule in rules]
+    if len(set(ids)) < len(ids):
+        raise CasebookError(f"rule id {max(ids, key=ids.count)!r} is repeated")
     data = load_local_data()
 
     candidates: list[CartanCandidate] = []
@@ -557,47 +616,8 @@ def run_dimension(n: int, rules: Sequence[CaseRule] | None = None) -> CaseReport
 
     for cand in candidates:
         listed = cand.matrix.to_lists()
-        trail: list[dict] = []
-        verdict: str | None = None
-
-        feas = filter_block_feasible(cand)
-        trail.append(
-            {"rule": "auto:feasibility", "kind": "feasibility", "outcome": feas.to_obj()}
-        )
-        if not feas.feasible:
-            verdict = "infeasible"
-        elif feas.defect_order == feas.p:
-            # a missing match excludes the candidate only if trees with l
-            # edges were enumerated
-            if cand.l > brauer.EDGE_BOUND:
-                raise CasebookError(
-                    f"candidate {listed} needs trees with {cand.l} "
-                    f"edges, beyond the bound {brauer.EDGE_BOUND}"
-                )
-            match = tree_matches.get(cand.matrix)
-            outcome: dict = {"matched": match is not None}
-            if match is not None:
-                outcome.update(
-                    {
-                        "shape": match.shape,
-                        "multiplicity": match.multiplicity,
-                        "p": match.p,
-                    }
-                )
-            trail.append(
-                {
-                    "rule": "auto:tree_resolution",
-                    "kind": "tree_resolution",
-                    "outcome": outcome,
-                }
-            )
-            if match is None:
-                verdict = "excluded"
-            elif cand.matrix in realization_index:
-                verdict = "realized"
-        # the screen's and the tree step's verdicts, which nothing may overturn
-        computed = verdict if verdict in ("infeasible", "excluded") else None
-        verdict_rule = None
+        trail, computed, matched = _computed(cand, tree_matches)
+        verdict, verdict_rule = computed, None
 
         for rule in rules_by_candidate.get(cand.matrix, []):
             entry: dict = {"rule": rule.rule_id, "kind": rule.kind}
@@ -628,6 +648,8 @@ def run_dimension(n: int, rules: Sequence[CaseRule] | None = None) -> CaseReport
             {"defect_group": row["defect_group"], "morita_class": row["morita_class"]}
             for row in realization_index.get(cand.matrix, [])
         ]
+        if verdict is None and matched and rows:
+            verdict = "realized"
         if computed is not None:
             regressions.extend(
                 {"candidate": listed, "computed_verdict": computed, **row} for row in rows

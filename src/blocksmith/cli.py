@@ -412,10 +412,7 @@ def _cmd_casebook(args) -> tuple[dict, int, str | None]:
 def _load_rules(path: str | None) -> list | None:
     if path is None:
         return None
-    raw = _read_json_file(path, f"rules file not found: {path}")
-    if not isinstance(raw, list):
-        raise CliError(f"{path}: rules file must hold a JSON list of rules")
-    return [cb._rule_from_obj(obj) for obj in raw]
+    return cb.read_rules(_read_json_file(path, f"rules file not found: {path}"), path)
 
 
 def _write_report(path: str, obj: dict) -> None:

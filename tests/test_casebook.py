@@ -172,6 +172,29 @@ def test_rule_built_in_python_is_checked_like_a_rule_file(params, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"candidate": [[13]]}, "rule r.candidate must be an IntMatrix, got [[13]]"),
+        ({"rule_id": 7}, "rule 7.rule_id must be a string, got 7"),
+        ({"citation": 5}, "rule r.citation must be a string, got 5"),
+        ({"requires_data": "local"},
+         "rule r.requires_data must be tuple[str, ...], got 'local'"),
+        ({"requires_data": ("x", 3)},
+         "rule r.requires_data must be tuple[str, ...], got ('x', 3)"),
+    ],
+)
+def test_rule_built_in_python_checks_every_field(field, message):
+    """Each field of a CaseRule is checked when it is built, not only its
+    params: a list for a matrix, a number for a string and a string for a
+    tuple of strings are refused before any run."""
+    fields = {"rule_id": "r", "candidate": M([[13]]), "kind": "external_citation",
+              "citation": "c", **field}
+    with pytest.raises(CasebookError) as err:
+        run_dimension(13, rules=[CaseRule(**fields)])
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------- det-25 shortcut
 
 

@@ -432,7 +432,18 @@ def test_dropped_rule_kind_is_invalid_input(tmp_path, capsys, kind):
 def test_rules_file_must_be_a_list(tmp_path, capsys):
     code, env = run_rules(tmp_path, capsys, 7)
     assert code == EXIT_INVALID and env["status"] == "invalid_input"
-    assert "JSON list of rules" in env["payload"]["error"]
+    assert env["payload"]["error"] == (
+        f"{tmp_path / 'rules.json'}: rules file must hold a JSON list of rules"
+    )
+
+
+def test_repeated_rule_id_is_invalid_input(tmp_path, capsys):
+    """Two rules with one id would share the stored solutions that a
+    fixed_from, q1_from or match_rule reference reads."""
+    rules = [probe_rule(), probe_rule(kind="congruence", params={"p": 2})]
+    code, env = run_rules(tmp_path, capsys, rules)
+    assert code == EXIT_INVALID and env["status"] == "invalid_input"
+    assert env["payload"]["error"] == "rule id 'probe' is repeated"
 
 
 def test_contribution_and_heights(capsys):

@@ -6,9 +6,11 @@ took each run's fixed row, the Gram and contribution digests from the code
 before adj(C), det C and the row forms of a target moved into one cache, and
 the digests of the trees by edge count from the code before the tree layer
 took one breadth-first walk for its tree check, path positions and tree
-centres, and the enumeration digests from the code before the casebook ran
-every candidate's rules one way, so a refactor that is meant to keep the output byte-identical shows
-here when it does not. A change that alters an output on purpose records
+centres, the enumeration digests from the code before the casebook ran
+every candidate's rules one way, and the digests of the entry sums with no
+packaged rules from the code before the screen and the tree step left the
+casebook's candidate loop, so a refactor that is meant to keep the output
+byte-identical shows here when it does not. A change that alters an output on purpose records
 the new digest and says why.
 """
 
@@ -33,6 +35,44 @@ CASEBOOK_REPORT = {
     13: "4852c8e87d25129b7088d2c08f77500301ed84036bb3d4a75d26fcf3b39b26c1",
     14: "4ea4ae6263a30e7c1fb5d15ed65630095a9b1d14be99939580f21508e0124f22",
     15: "d2cc69674e5ab1d1a7a4151f079cea287a0f7a065bab5dc24751bc73e15efe7c",
+}
+# entry sums without a packaged rule set: digests of the plain stdout and
+# of the --report file
+CASEBOOK_OTHER = {
+    1: ("b31fbc40a5e56a9b5cf38c66e0a5fd84d59057c58f64c37da253e02784c61500",
+         "32d00e05af24ba32484ce610dc2dfcfad7397d28ea8f00177971cbf4bf78d715"),
+    2: ("9a7373df2deabad9f0df0d658f6cbc94be97cac8a1ddf7cfec25c86d538e6a16",
+         "0d5472e2fdd6de4b85a779bf80ff6403fc3e4bb818509c8adcdbed4f509ff7dd"),
+    3: ("3cb74f92b8983aa664356bf74c723c93b4f792c85efd87b04db75b274a95d1f7",
+         "3e72b0a155c3077964c9f31981fe26ba5655320239faf970006c0a15d7e9f2b0"),
+    4: ("106895d5d2a8ce33dfeece994b7e58955047d73f6e149089289daca953b6dd3a",
+         "38ee780eac1c3d1213bff4e13f9e4f756e39af113864cfb8182f7049c50df0c0"),
+    5: ("3cce729bdaa706ff7e10d718642a224e94122a7a7423cac3ca38611b5df4a3e3",
+         "babb12287511b5711706aee2dc2351e10fc6f0c84cd189a64b3cadd7a6b7d4ed"),
+    6: ("75e3df641b27b4daeaec4765d1e0ec2a5da3023423a2a639215a1dd814048d70",
+         "8e9e29efcf690f31829ca1cd8baf06c9e556695adf3308ecd5e806651ee31036"),
+    7: ("56437d2ab7eb14d00172848d292b66b321681638cd53e151b39d98ba3548e8b5",
+         "d426fd57e226cf1adf0c05c026c1649966dab07bee63f1c19af27580d1d83bfb"),
+    8: ("1cb8267f0268a9953194b15cf81e84ebfec7ea57c45a1b98558721c907136375",
+         "048987ed227b908c155f09a6546614a9e2b4891ea927ad4ba7e253859cf98b45"),
+    9: ("eb46a8fcfdb880e056c370908ed9909c7defc10c0fcd95c42fc14fc8518aece1",
+         "7a2ee814021f31827a4ce6f6bc3ac574b7bd8042f0cea0581a57e2e239193113"),
+    10: ("f5ca60a318e6cfa73e47d699f2b6c36cccb70682bb7482678a2570f2ed3412c9",
+          "e50d4041a25e506ef148a03e3a424e92aa4f78a8f6cfca95a606a3c2364469d9"),
+    11: ("69a09f3a71b4409420408cc194b8b16627d205441178c0278ea28902837b5008",
+          "c2861c901dfaf6a1595182290d8a26dbc55ddc39f013c6f5447fb223117091b3"),
+    12: ("09c2494162402ae422b8d5614cbf33f8be5180cddc720f3c3982bf257150d608",
+          "223fe9c03ccb9bda2f0cdc3dadb7800f9bf55e04ac3a78bc572df95c7757d820"),
+    16: ("ddf233b80cd796614e76679f1b0814643438150b16b09896131c7512db821709",
+          "99584e93a4c279b2608a29df7b0cad3d02d2f85f7f4a2093faf433abd2b5dd6f"),
+    17: ("38a46acecb39d5fc9db921de2a431e50878832e9fbac72372a4d2f20a236b525",
+          "c56a13cc6ffc63192738e9c686eac9066c99826808dda663b195a69aa893c69d"),
+    18: ("8e96afe8395206dc11c4f3369a78ed406a941d98d75cdbdc01394dfde17fa775",
+          "c58db67753a40eb519be17503785e893d8e97082761316ff245471fa66e3d58d"),
+    19: ("2e15e81e3b7d170b4ac7f38b7217537678e3ecf2597dc6c0b90c57753fe0c815",
+          "6fdae5e515521e58f36bb4c37e659d4b65dfb31ef95e8039d79e117d538769f5"),
+    20: ("5bc7e88dcd5ae44f159e43c07504dcaaf3c436f1bb8f4c71f07dfb2c8e27e22e",
+          "9343fb0ccd18bcd81d8f202dbebd45d0560cbd9e84991ed2a87faf8a6013de08"),
 }
 TREES = {
     20: "10493cd5c49da74273f0222fc0a9af3b0d38bcd46837a83a9af26e73938c127d",
@@ -142,6 +182,16 @@ def test_casebook_outputs_are_golden(capsys, tmp_path, dim):
     report = tmp_path / "report.json"
     assert sha(stdout_of(capsys, *run, "--table", "--report", str(report))) == CASEBOOK_TABLE[dim]
     assert sha(report.read_bytes()) == CASEBOOK_REPORT[dim]
+
+
+@pytest.mark.parametrize("dim", sorted(CASEBOOK_OTHER))
+def test_casebook_outputs_without_rules_are_golden(capsys, tmp_path, dim):
+    """``casebook run --dim D`` for the entry sums with no packaged rules:
+    the stdout, and the report file of a run with ``--report``."""
+    run = ("casebook", "run", "--dim", str(dim))
+    report = tmp_path / "report.json"
+    stdout_of(capsys, *run, "--report", str(report))
+    assert (sha(stdout_of(capsys, *run)), sha(report.read_bytes())) == CASEBOOK_OTHER[dim]
 
 
 def test_brauer_tree_outputs_are_golden(capsys):
