@@ -34,11 +34,18 @@ The solution list is ordered by (row count, repr of the rows)
 through ranks of the distinct rows, with no repr per solution
 (``_sort_forms``).
 
+The row pool is generated, not filtered: one walk over the coordinates
+(``_row_walk``), under the exact bound the row bound puts on each
+coordinate and, in nonnegative mode, the pairwise caps r_i r_j <= C_ij,
+carries each row's form r.adj(C).r^t along and gives the rows in
+decreasing order.
+
 adj(C), det C and the row forms r.adj(C).s^t of a target come from one
-cache keyed on C (``row_forms``). The pool build fills its (r, r) entries
-once per target, and every later reader (the row table, the diagonal
-filter, the casebook valuation filter and the contribution matrix) looks
-the values up instead of evaluating them per solution.
+cache keyed on C (``row_forms``). The pool build writes the (r, r) entry
+of each row it keeps, once per target, and every later reader (the row
+table, the diagonal filter, the casebook valuation filter and the
+contribution matrix) looks the values up instead of evaluating them per
+solution; an entry not written is evaluated on its first read.
 """
 
 from __future__ import annotations
@@ -179,7 +186,9 @@ class GramSolution:
 def row_quad(r: Sequence[int], adj: IntMatrix, s: Sequence[int] | None = None) -> int:
     """r . adj . s^t, evaluated afresh; s defaults to r, and r . adj . r^t
     is the scaled contribution of the row. Readers take the value from the
-    memo of ``row_forms`` instead, which calls this once per pair."""
+    memo of ``row_forms`` instead, which calls this once per pair it was
+    not given: the pool build writes the (r, r) entries of its rows, which
+    it carries along its walk."""
     s = r if s is None else s
     return sum(ri * sum(map(mul, row, s)) for ri, row in zip(r, adj.rows) if ri)
 
@@ -204,8 +213,8 @@ class RowForms(dict):
 def row_forms(c: IntMatrix) -> RowForms:
     """adj(C), det C and the row-form memo of the square matrix C, built
     from ``adjugate_and_det`` on the first call for C and kept for the 32
-    latest targets. The pool build fills the (r, r) entries of every row of
-    the box; ``verify_solution`` (through ``GramProblem._checks``), the
+    latest targets. The pool build writes the (r, r) entries of the rows
+    it keeps; ``verify_solution`` (through ``GramProblem._checks``), the
     pinned diagonal filter, the casebook valuation filter and
     ``contrib.contribution_matrix`` read from it."""
     return RowForms(*adjugate_and_det(c))
@@ -217,8 +226,8 @@ class _RowTable(dict):
     r . adj(C) . r^t <= ``_quad_limit(det C)``, which the zero row keeps
     for every positive definite C. Each row is entered on its first read,
     its products computed from r and r . adj . r^t read from the (r, r)
-    entry of ``forms``, which the pool build has filled for every row of
-    the box.
+    entry of ``forms``, which the pool build has written for every row of
+    the pool, and which is evaluated on its first read for any other row.
     Summed over the rows of Q, the products are the upper triangle of
     Q^t Q."""
 
@@ -256,21 +265,50 @@ def _quad_limit(d: int) -> int:
     return d if d == 1 else d - 1
 
 
+def _row_walk(c: IntMatrix, signed: bool) -> list[tuple[Row, int]]:
+    """Every row the pool build reaches, with its form r . adj(C) . r^t, in
+    decreasing order, the zero row among them: one walk over the
+    coordinates in order, each prefix extended by entry j from its top
+    value down, so the rows come out sorted.
+
+    Entry j runs from t_j = isqrt(L C_jj // det C) down to -t_j (signed)
+    or 0, where L = ``_quad_limit(det C)``: for A = adj(C), which is
+    positive definite, the largest x_j^2 with x . A . x^t <= L is
+    L (A^-1)_jj, and A^-1 = C / det C, so no row of the bound is missed.
+    In nonnegative mode each row of Q adds r_i r_j >= 0 to C_ij, so an
+    earlier entry x > 0 caps entry j at C_ij // x. The form is carried
+    along the walk: appending x to a prefix p adds x (2 adj_j . p + x
+    adj_jj)."""
+    forms = row_forms(c)
+    adj, det = forms.adj.rows, forms.det
+    limit = _quad_limit(det)
+    g = c.rows
+    level: list[tuple[Row, int]] = [((), 0)]
+    for j, a in enumerate(adj):
+        top, ajj = isqrt(limit * g[j][j] // det), a[j]
+        grown = []
+        for p, q in level:
+            if signed:
+                xs = range(top, -top - 1, -1)
+            else:
+                xs = range(min([top, *(g[i][j] // x for i, x in enumerate(p) if x)]), -1, -1)
+            s = 2 * sum(map(mul, a, p))  # map stops at the j entries of p
+            grown += [(p + (x,), q + x * (s + x * ajj)) for x in xs]
+        level = grown
+    return level
+
+
 def _row_pool(c: IntMatrix, signed: bool) -> list[Row]:
-    """Candidate rows, sorted decreasing; zero row excluded. Fills the memo
-    of C with r . adj . r^t for every nonzero row of the box."""
+    """Candidate rows, in decreasing order; zero row excluded: the rows of
+    ``_row_walk`` that keep the row bound. Writes each kept row's form into
+    the memo of C."""
     forms = row_forms(c)
     limit = _quad_limit(forms.det)
-    bounds = [isqrt(c.rows[j][j]) for j in range(c.col_count)]
-    ranges = [
-        range(-b, b + 1) if signed else range(0, b + 1) for b in bounds
-    ]
-    pool = [
-        r
-        for r in itertools.product(*ranges)
-        if any(r) and forms[r, r] <= limit
-    ]
-    pool.sort(reverse=True)
+    pool = []
+    for r, q in _row_walk(c, signed):
+        if q <= limit and any(r):
+            forms[r, r] = q
+            pool.append(r)
     return pool
 
 
@@ -641,7 +679,7 @@ def verify_solution(p: GramProblem, s: GramSolution) -> bool:
     whose column sums are the upper triangle of Q^t Q, or None for a row
     over the bound. The columns of Q are built only for a fixed block, and
     the contribution diagonal reads r . adj . r^t from the ``row_forms``
-    entry of C; in a free solve the pool build has already filled every
+    entry of C; in a free solve the pool build has already written every
     entry read."""
     upper, counts, fixed_cols, table = p._checks
     q = s.q

@@ -5,11 +5,11 @@ permutation-expansion determinants and adjugates, determinantal divisors
 from the gcds of minors, Fraction-based pivot tests, an
 all-permutations canonical form, a direct multiset search for 2x2 Gram
 decompositions, Prüfer-sequence tree enumeration with brute-force
-isomorphism, Cayley-table conjugacy counting, and brute-force listers of
-pinned Gram decompositions and of orthogonal columns, the replaced
-one-entry-per-index orthogonal-column search, a Gram solution
-check and a contribution matrix from the plain product Q.adj.Q^t, and the
-replaced three-array Smith normal form, ``accumulating_snf``, which pins the
+isomorphism, Cayley-table conjugacy counting, a box-filtering row pool,
+brute-force listers of pinned Gram decompositions and of orthogonal
+columns, the replaced one-entry-per-index orthogonal-column search, a
+Gram solution check and a contribution matrix from the plain product
+Q.adj.Q^t, and the replaced three-array Smith normal form, ``accumulating_snf``, which pins the
 transforms. Agreement between these and the library is the point of the
 tests, so none of them may call back into blocksmith. The four exceptions
 are ``labelled_enumeration``, ``multiplicity_search_classify``,
@@ -323,6 +323,32 @@ def gram2_decompositions(a: int, b: int, d: int) -> set:
 
     rec(0, a, b, d, ())
     return found
+
+
+# ---------------------------------------------------- row pool brute force
+
+
+def box_row_pool(c, signed) -> list:
+    """The row pool of the target c, by filtering its box: every nonzero
+    row with |r_i| <= isqrt(c_ii) (0 <= r_i unless signed) and
+    r.adj(c).r^t below det c, or equal to it when det c = 1; in nonnegative
+    mode also r_i r_j <= c_ij for i != j. Sorted decreasing."""
+    adj, d = naive_adjugate(c), naive_det(c)
+    limit = d if d == 1 else d - 1
+    l = len(c)
+    box = itertools.product(
+        *(range(-isqrt(c[i][i]) if signed else 0, isqrt(c[i][i]) + 1) for i in range(l))
+    )
+    return sorted(
+        (
+            r for r in box
+            if any(r)
+            and quad(r, adj) <= limit
+            and (signed or all(r[i] * r[j] <= c[i][j]
+                               for i in range(l) for j in range(l) if i != j))
+        ),
+        reverse=True,
+    )
 
 
 # ------------------------------------------------ pinned Gram brute force

@@ -9,17 +9,22 @@ took one breadth-first walk for its tree check, path positions and tree
 centres, the enumeration digests from the code before the casebook ran
 every candidate's rules one way, and the digests of the entry sums with no
 packaged rules from the code before the screen and the tree step left the
-casebook's candidate loop, so a refactor that is meant to keep the output
-byte-identical shows here when it does not. A change that alters an output on purpose records
-the new digest and says why.
+casebook's candidate loop, and the digests of the ordered solution lists
+from the code before the row pool was generated by a coordinate walk, so
+a refactor that is meant to keep the output byte-identical shows here
+when it does not. A change that alters an output on purpose records the
+new digest and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from blocksmith.cartan import min_sum_for_l
+from blocksmith import IntMatrix
+from blocksmith.cartan import enumerate_cartan, filter_block_feasible, min_sum_for_l
 from blocksmith.cli import EXIT_OK, dispatch
+from blocksmith.gram import GramProblem, solve
 
 CASEBOOK_PLAIN = {
     13: "0468d29d8b57ac229875de54135e2be281b4b43b0ecd163d785adcbf67622b22",
@@ -266,3 +271,50 @@ def test_gram_and_contribution_outputs_are_golden(capsys, name):
     a contribution with heights."""
     argv, digest = OUTPUTS[name]
     assert sha(stdout_of(capsys, *argv)) == digest
+
+
+# entry sum: one digest over the ordered ``solve`` lists of every feasible
+# candidate, in enumeration order, nonnegative and signed
+SOLVE_NONNEGATIVE = {
+    13: "4d51200cda30db702860ec15870e5ef69dd5992d4fee5ad008172f0f6cd90a86",
+    14: "db1ecb7d761ce191bd5b83d88cc738b16ded2745addc9070214bf906020f24fd",
+    15: "e234fdbe9ea14bea1f19eea1a0aa48737d1338335fa3e7a46ca729953be1e8f1",
+    16: "4c1eaea7f776f5278e5a100c23dd5b90eece545bab0bc7267d4578861fb78d85",
+    17: "5bb164b250a5224d259e06ebf1140f1df88c933900d03748b10b2b6a50f9eb08",
+}
+SOLVE_SIGNED = {
+    13: "43fc662e29048ff9f088082c6e63749d30be0256f0ac1b9c297ad7e5a62fca4a",
+    14: "9d4c620b04ca378e4565ff6108182463f17881824a96f7d81097d81693773efa",
+    15: "4b39d5bb1dbd1fd565d142d97236d22dd647c22f3dcf6a8d5bffe374a550a043",
+}
+# the signed solve of the criterion-8a target, 28,306 solutions
+SOLVE_8A = "60e7e48c2ae0efe2add45c7b83ddcfbb3fc4f321c3ff3ea239f15a8ef0da522c"
+
+
+def feasible_candidates(n: int) -> list:
+    out = []
+    l = 1
+    while min_sum_for_l(l) <= n:
+        out += [c.matrix for c in enumerate_cartan(n, l) if filter_block_feasible(c).feasible]
+        l += 1
+    return out
+
+
+def solve_digest(targets, sign_mode: str) -> str:
+    h = hashlib.sha256()
+    for c in targets:
+        sols = solve(GramProblem(target_gram=c, sign_mode=sign_mode))
+        h.update(json.dumps([c.to_lists(), [s.q.to_lists() for s in sols]]).encode())
+    return h.hexdigest()
+
+
+def test_solution_lists_are_golden_in_content_and_order():
+    """``solve`` of every feasible candidate of entry sums 13..17
+    (nonnegative) and 13..15 (signed), and the signed 8a target: each
+    solution list, in its order."""
+    got = {n: solve_digest(feasible_candidates(n), "nonnegative") for n in SOLVE_NONNEGATIVE}
+    assert got == SOLVE_NONNEGATIVE
+    got = {n: solve_digest(feasible_candidates(n), "signed") for n in SOLVE_SIGNED}
+    assert got == SOLVE_SIGNED
+    c8a = IntMatrix.from_rows([[7, 1, 0], [1, 4, 0], [0, 0, 9]])
+    assert solve_digest([c8a], "signed") == SOLVE_8A

@@ -32,11 +32,13 @@ from blocksmith import (
     solve_orthogonal_column,
     verify_solution,
 )
-from blocksmith.gram import _quad_limit, row_quad
+from blocksmith.cartan import enumerate_cartan, min_sum_for_l
+from blocksmith.gram import _quad_limit, _row_pool, row_quad
 from blocksmith.intmat import adjugate_and_det
 
 from conftest import (
     adj_det,
+    box_row_pool,
     expanding_solve,
     gram2_decompositions,
     naive_adjugate,
@@ -130,6 +132,41 @@ def test_row_validity_bound_is_strict():
     adj, d = adjugate_and_det(one)
     assert row_quad((1,), adj) <= _quad_limit(d)
     assert multisets(solve(GramProblem(target_gram=one))) == {((1,),)}
+
+
+# Pool targets by hand: every l = 1 target up to [[16]]; perfect-square
+# diagonals with det C > 1, whose top entries break the row bound; det
+# C = 1 targets, where the bound is met with equality; and one negative
+# entry, which no nonnegative row with both entries nonzero fits.
+POOL_TARGETS = [[[n]] for n in range(1, 17)] + [
+    [[4, 1], [1, 4]],
+    [[9, 3], [3, 2]],
+    [[2, 1], [1, 1]],
+    [[5, 2], [2, 1]],
+    [[2, -1], [-1, 1]],
+    [[2, 1, 0], [1, 2, 1], [0, 1, 1]],
+]
+
+
+def pool_targets() -> list:
+    """The hand targets and every candidate of entry sums 13..16."""
+    out = list(POOL_TARGETS)
+    for n in range(13, 17):
+        l = 1
+        while min_sum_for_l(l) <= n:
+            out += [cand.matrix.to_lists() for cand in enumerate_cartan(n, l)]
+            l += 1
+    return out
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_row_pool_is_the_box_filter(signed):
+    """The walked pool equals, in content and order, the box filter of the
+    independent oracle: the exact per-coordinate bound and, in nonnegative
+    mode, the pairwise caps lose no row the box keeps and keep none it
+    drops."""
+    for c in pool_targets():
+        assert _row_pool(M(c), signed) == box_row_pool(c, signed), c
 
 
 def test_row_count_constraints():
@@ -793,26 +830,37 @@ def test_row_form_readers_match_plain_products(targets, data):
                             verify_solution(bad, s)
 
 
-# Row-form evaluations of the signed solve of the criterion-8a target: the
-# nonzero rows of its box |r_i| <= isqrt(C_ii), 5 * 5 * 7 - 1. Evaluated
-# once per row of each solution, the row bound alone made 224,970.
-ROW_FORM_CEILING = 174
+# Row forms evaluated by the signed solve of the criterion-8a target: the
+# pool walk carries one per row of the exact box |r_j| <= isqrt(L C_jj //
+# det C), less the zero row, 5 * 3 * 5 - 1, and keeps 56 of them, so no
+# reader evaluates another. The box filter it replaced evaluated the
+# 5 * 5 * 7 - 1 rows of |r_i| <= isqrt(C_ii); evaluated once per row of
+# each solution, the row bound alone made 224,970.
+ROW_FORM_CEILING = 74
 
 
 def test_signed_8a_solve_evaluates_each_box_row_once(monkeypatch):
     calls = 0
-    evaluate = gram.row_quad
+    evaluate, walk = gram.row_quad, gram._row_walk
 
     def counting_row_quad(*args):
         nonlocal calls
         calls += 1
         return evaluate(*args)
 
+    def counting_walk(c, signed):
+        nonlocal calls
+        rows = walk(c, signed)
+        calls += len(rows) - 1  # the zero row's form is 0, and never kept
+        return rows
+
     monkeypatch.setattr(gram, "row_quad", counting_row_quad)
+    monkeypatch.setattr(gram, "_row_walk", counting_walk)
     gram.row_forms.cache_clear()
     c = M([[7, 1, 0], [1, 4, 0], [0, 0, 9]])
     assert len(solve(GramProblem(target_gram=c, sign_mode="signed"))) == 28306
     assert calls <= ROW_FORM_CEILING
+    assert len(_row_pool(c, signed=True)) == 56
 
 
 def test_failed_verification_raises(monkeypatch):
